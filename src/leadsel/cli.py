@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -73,6 +74,33 @@ def _mode_from(args):
             raise GraphError("--mode gain requires --k")
         return Gain(args.k)
     return NOISE_FREE
+
+
+def _sigma(text):
+    """--sigma: finite and nonnegative, the rule SimConfig applies."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
+    return value
+
+
+def _positive_sigma(text):
+    """--sigma where a report divides by the error, which is 0 at sigma = 0."""
+    value = _sigma(text)
+    if value == 0.0:
+        raise argparse.ArgumentTypeError("must be positive: the error is 0 at sigma = 0")
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _float_list(text):
+    return tuple(float(t) for t in text.split(","))
 
 
 def _shift(node, base):
@@ -244,7 +272,7 @@ def _cmd_pairs(args, started):
 
 
 def _cmd_verify(args, started):
-    k_values = tuple(float(t) for t in args.k_values.split(",")) if args.k_values else DEFAULT_K_VALUES
+    k_values = args.k_values or DEFAULT_K_VALUES
     if args.graph:
         g = _load_graph(args.graph)
         report = verify_graph(g, label=args.graph, m_max=args.m_max, tol=args.tol, k_values=k_values)
@@ -370,14 +398,14 @@ def _cmd_generate(args, started):
     return EXIT_OK
 
 
-def _add_common(sub, graph_required=True):
+def _add_common(sub, graph_required=True, sigma=_sigma):
     if graph_required:
         sub.add_argument("graph", help="edge-list file")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="write the report to a file instead of stdout")
     sub.add_argument("--index-base", type=int, choices=(0, 1), default=0,
                      help="node-id base used in output (input files are always 0-indexed)")
-    sub.add_argument("--sigma", type=float, default=1.0, help="noise intensity (default 1)")
+    sub.add_argument("--sigma", type=sigma, default=1.0, help="noise intensity (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_centrality)
 
     p = subs.add_parser("select", help="optimal leader selection")
-    _add_common(p)
+    _add_common(p, sigma=_positive_sigma)
     p.add_argument("--m", type=int, required=True, help="number of leaders")
     p.add_argument("--mode", choices=("noise-free", "gain"), default="noise-free")
     p.add_argument("--k", type=float, default=None, help="leader gain (gain mode)")
@@ -408,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("pairs", help="two-leader joint centrality for every pair")
     _add_common(p)
-    p.add_argument("--bins", type=int, default=10, help="histogram bin count")
+    p.add_argument("--bins", type=_positive_int, default=10, help="histogram bin count")
     p.add_argument("--pair-list", default=None, help="file of 'u v' lines restricting the sweep")
     p.add_argument("--budget", type=int, default=10_000_000)
     p.set_defaults(func=_cmd_pairs)
@@ -421,14 +449,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1, help="random-suite seed")
     p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance")
     p.add_argument("--m-max", type=int, default=3, help="largest leader-set size checked")
-    p.add_argument("--k-values", default=None, help="comma-separated gains (default 0.1,1,10,100)")
+    p.add_argument("--k-values", type=_float_list, default=None,
+                   help="comma-separated gains (default 0.1,1,10,100)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--index-base", type=int, choices=(0, 1), default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("simulate", help="Euler-Maruyama check of the analytic error")
-    _add_common(p)
+    _add_common(p, sigma=_positive_sigma)
     p.add_argument("--leaders", required=True, help="comma-separated leader node ids")
     p.add_argument("--mode", choices=("noise-free", "gain"), default="noise-free")
     p.add_argument("--k", type=float, default=None)

@@ -6,12 +6,14 @@ eigendecomposition. The two oracle functions compute the steady-state
 tracking error of the leader-follower consensus dynamics by dense symmetric
 factorization, deliberately not reusing any of the closed-form centrality
 machinery, so they can serve as an independent check on it.
+
+``system_matrix`` assembles the matrix those oracles invert, the grounded
+Laplacian or L + K, in one place for every caller.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import Gain, Graph, GraphError, LeaderSet, NoiseFree, laplacian
 
@@ -76,20 +78,42 @@ class ErrorReport:
     sigma: float
 
 
-def _check(g, leaders, mode_cls):
-    leaders.check_against(g.n)
+def _check_mode(leaders, mode_cls):
     if not isinstance(leaders.mode, mode_cls):
         raise GraphError(
             f"leader set mode is {type(leaders.mode).__name__}, expected {mode_cls.__name__}"
         )
 
 
-def _spd_inverse(mat, what):
+def system_matrix(g: Graph, leaders: LeaderSet):
+    """The system matrix of the tracking dynamics and the nodes it acts on.
+
+    Noise-free leaders: the grounded Laplacian, L with the leader rows and
+    columns deleted, over the followers in ascending order. Finite gain k:
+    L + K with K = k at the leader diagonal entries, over all nodes.
+    """
+    leaders.check_against(g.n)
+    mat = laplacian(g)
+    if isinstance(leaders.mode, NoiseFree):
+        nodes = np.setdiff1d(np.arange(g.n), leaders.members)
+        return mat[np.ix_(nodes, nodes)], nodes
+    members = list(leaders.members)
+    mat[members, members] += leaders.mode.k
+    return mat, np.arange(g.n)
+
+
+def spd_inverse(mat, what):
+    """Inverse of a symmetric positive definite matrix.
+
+    The Cholesky factorization is the positive-definiteness test; a matrix
+    that fails it is numerically singular (or indefinite) and raises
+    SpectralError.
+    """
     try:
-        factor = scipy.linalg.cho_factor(mat, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(mat)
+        return np.linalg.inv(mat)
+    except np.linalg.LinAlgError as exc:
         raise SpectralError(f"{what} is numerically singular: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, np.eye(mat.shape[0]))
 
 
 def oracle_error_noise_free(g: Graph, leaders: LeaderSet, sigma: float = 1.0) -> ErrorReport:
@@ -99,11 +123,9 @@ def oracle_error_noise_free(g: Graph, leaders: LeaderSet, sigma: float = 1.0) ->
     the total error is (sigma^2 / 2) * tr(L_F^-1), follower variances are the
     matching diagonal entries and leader variances are exactly zero.
     """
-    _check(g, leaders, NoiseFree)
-    followers = [i for i in range(g.n) if i not in set(leaders.members)]
-    lap = laplacian(g)
-    sub = lap[np.ix_(followers, followers)]
-    inv = _spd_inverse(sub, "grounded Laplacian")
+    _check_mode(leaders, NoiseFree)
+    sub, followers = system_matrix(g, leaders)
+    inv = spd_inverse(sub, "grounded Laplacian")
     var = np.zeros(g.n)
     var[followers] = 0.5 * sigma * sigma * np.diag(inv)
     return ErrorReport(float(var.sum()), var, sigma)
@@ -115,11 +137,9 @@ def oracle_error_gain(g: Graph, leaders: LeaderSet, sigma: float = 1.0) -> Error
     K is diagonal with k at leader nodes; the Lyapunov solution for the
     symmetric system matrix is Sigma = (sigma^2 / 2) * (L + K)^-1.
     """
-    _check(g, leaders, Gain)
-    mat = laplacian(g)
-    for s in leaders.members:
-        mat[s, s] += leaders.mode.k
-    inv = _spd_inverse(mat, "L + K")
+    _check_mode(leaders, Gain)
+    mat, _ = system_matrix(g, leaders)
+    inv = spd_inverse(mat, "L + K")
     var = 0.5 * sigma * sigma * np.diag(inv).copy()
     return ErrorReport(float(var.sum()), var, sigma)
 
@@ -130,10 +150,8 @@ def per_node_variance_spectral(g: Graph, leaders: LeaderSet, sigma: float = 1.0)
     Var(x_i) = sigma^2 * sum_p |v_i^(p)|^2 / (2 lambda_p); an independent
     route to the diagonal of oracle_error_gain.
     """
-    _check(g, leaders, Gain)
-    mat = laplacian(g)
-    for s in leaders.members:
-        mat[s, s] += leaders.mode.k
+    _check_mode(leaders, Gain)
+    mat, _ = system_matrix(g, leaders)
     try:
         lam, vec = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Gain, Graph, GraphError, LeaderSet, NoiseFree, laplacian
-from .kernels import oracle_error_gain, oracle_error_noise_free
+from .graphs import Graph, GraphError, LeaderSet, NoiseFree
+from .kernels import oracle_error_gain, oracle_error_noise_free, system_matrix
 
 _BLOCK = 16384
 
@@ -76,20 +76,11 @@ def simulate(g: Graph, leaders: LeaderSet, cfg: SimConfig) -> SimResult:
     and raises StabilityError (with the required dt bound) if violated.
     Deterministic for a fixed config.
     """
-    leaders.check_against(g.n)
-    lap = laplacian(g)
+    sys_mat, active = system_matrix(g, leaders)
     if isinstance(leaders.mode, NoiseFree):
-        active = [i for i in range(g.n) if i not in set(leaders.members)]
-        sys_mat = lap[np.ix_(active, active)]
         analytic = oracle_error_noise_free(g, leaders, cfg.sigma).total_error
-    elif isinstance(leaders.mode, Gain):
-        active = list(range(g.n))
-        sys_mat = lap
-        for s in leaders.members:
-            sys_mat[s, s] += leaders.mode.k
-        analytic = oracle_error_gain(g, leaders, cfg.sigma).total_error
     else:
-        raise GraphError(f"mode must be NoiseFree or Gain, got {leaders.mode!r}")
+        analytic = oracle_error_gain(g, leaders, cfg.sigma).total_error
 
     lam_max = float(np.linalg.eigvalsh(sys_mat)[-1])
     if cfg.dt * lam_max >= 2.0:

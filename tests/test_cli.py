@@ -235,3 +235,51 @@ def test_out_file_writing(tmp_path, cycle6, capsys):
     assert code == 0 and stdout == ""
     report = json.loads(out.read_text())
     assert report["command"] == "centrality"
+
+
+def input_error(capsys, *argv):
+    """Exit code of an invocation expected to fail on its input, checking that
+    it ends with an error message rather than a traceback."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the argument
+        code = exc.code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "error" in captured.err
+    assert captured.out == ""
+    return code
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [
+    ("centrality",), ("select", "--m", "2"), ("pairs",), ("simulate", "--leaders", "0", "--steps", "100"),
+])
+def test_bad_sigma_exit_2(cycle6, capsys, command, sigma):
+    assert input_error(capsys, command[0], cycle6, *command[1:], "--sigma", sigma) == 2
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "greedy"])
+def test_select_sigma_zero_exit_2(cycle6, capsys, method):
+    # rho = n sigma^2 / (2 error) is 0/0 at sigma = 0
+    assert input_error(capsys, "select", cycle6, "--m", "2", "--method", method, "--sigma", "0") == 2
+
+
+def test_simulate_sigma_zero_exit_2(cycle6, capsys):
+    # the relative gap divides by the analytic error, which is 0 at sigma = 0
+    argv = ["simulate", cycle6, "--leaders", "0", "--steps", "100", "--sigma", "0"]
+    assert input_error(capsys, *argv) == 2
+
+
+def test_centrality_sigma_zero_allowed(cycle6, capsys):
+    report = run_json(capsys, "centrality", cycle6, "--sigma", "0")
+    assert all(n["certainty_inverse"] == 0.0 for n in report["payload"]["nodes"])
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_pairs_nonpositive_bins_exit_2(cycle6, capsys, bins):
+    assert input_error(capsys, "pairs", cycle6, "--bins", bins) == 2
+
+
+@pytest.mark.parametrize("k_values", ["1,x", ",", "1,-1"])
+def test_verify_bad_k_values_exit_2(cycle6, capsys, k_values):
+    assert input_error(capsys, "verify", cycle6, "--k-values", k_values) == 2

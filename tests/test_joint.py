@@ -162,6 +162,21 @@ def test_implied_error_matches_oracle_random(g, data):
     assert rel_dev(implied, oracle) < 1e-8
 
 
+@pytest.mark.parametrize("spread", [1e3, 1e6, 1e9])
+def test_implied_error_matches_oracle_under_weight_spread(spread):
+    # conditioning ladder: log-uniform weights over [1, spread] on G(14, 0.4)
+    rng = np.random.default_rng(101)
+    base = seeded_random_graph(rng, 14, p=0.4)
+    weights = spread ** rng.uniform(0.0, 1.0, size=base.edge_count)
+    g = Graph(14, tuple((u, v, float(w)) for (u, v, _), w in zip(base.edges, weights)))
+    k = compute_kernels(g)
+    for m in (1, 2, 3):
+        for members in itertools.combinations(range(g.n), m):
+            closed = joint_centrality(k, members).implied_total_error
+            exact = oracle_error_noise_free(g, LeaderSet(members)).total_error
+            assert rel_dev(closed, exact) < 1e-8, (members, closed, exact)
+
+
 def test_sigma_only_scales_error():
     k = compute_kernels(cycle(6))
     r1 = joint_centrality(k, (0, 2), sigma=1.0)

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import leadsel
 
 from leadsel import (
     Gain,
@@ -17,6 +24,7 @@ from leadsel import (
     path,
     per_node_variance_spectral,
 )
+from leadsel.kernels import SpectralError, spd_inverse
 
 from conftest import rel_dev, seeded_random_graph
 
@@ -144,3 +152,17 @@ def test_mode_mismatch_rejected():
         oracle_error_gain(cycle(4), LeaderSet((0,), NOISE_FREE))
     with pytest.raises(GraphError):
         per_node_variance_spectral(cycle(4), LeaderSet((0,), NOISE_FREE))
+
+
+def test_spd_inverse_rejects_singular_laplacian():
+    # the ungrounded Laplacian has the zero mode 1, so it is not positive definite
+    with pytest.raises(SpectralError, match="singular"):
+        spd_inverse(laplacian(cycle(5)), "Laplacian")
+
+
+def test_package_and_cli_import_without_scipy():
+    src = str(Path(leadsel.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, leadsel, leadsel.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

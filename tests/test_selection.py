@@ -6,6 +6,7 @@ from leadsel import (
     ClosedFormError,
     Gain,
     GraphError,
+    LeaderSet,
     NOISE_FREE,
     closed_form_cycle,
     closed_form_cycle_two,
@@ -16,6 +17,8 @@ from leadsel import (
     exhaustive_select,
     greedy_select,
     info_centrality,
+    oracle_error_gain,
+    oracle_error_noise_free,
     oracle_select,
     pairwise_sweep,
     path,
@@ -112,6 +115,53 @@ def test_greedy_matches_exhaustive_on_cycle8_powers_of_two(m):
     exact = exhaustive_select(cycle(8), m)
     assert rel_dev(greedy.objective.total_error, exact.objective.total_error) < 1e-9
     assert greedy.optimal_sets[0] in exact.optimal_sets
+
+
+def _oracle_total_error(g, members, mode):
+    leaders = LeaderSet(members, mode)
+    if mode is NOISE_FREE:
+        return oracle_error_noise_free(g, leaders).total_error
+    return oracle_error_gain(g, leaders).total_error
+
+
+def _greedy_reference(g, m, mode):
+    """Oracle-driven greedy: each step takes the dense oracle's argmin over the
+    remaining nodes, lowest id within 1e-9."""
+    chosen, evaluated = [], 0
+    for _ in range(m):
+        scores = [(_oracle_total_error(g, tuple(chosen + [v]), mode), v)
+                  for v in range(g.n) if v not in chosen]
+        evaluated += len(scores)
+        best = min(e for e, _ in scores)
+        chosen.append(min(v for e, v in scores if e <= best * (1.0 + 1e-9)))
+    return tuple(sorted(chosen)), evaluated
+
+
+def _greedy_reference_graphs():
+    rng = np.random.default_rng(83)
+    sizes = np.linspace(6, 60, 16).round().astype(int)
+    for weighted in (False, True):
+        for n in sizes:
+            yield seeded_random_graph(rng, int(n), p=min(1.0, 6.0 / n), weighted=weighted)
+    for n in (6, 8, 12, 17):
+        yield cycle(n)
+    for n in (6, 9, 20, 31):
+        yield path(n)
+
+
+def test_greedy_matches_oracle_driven_reference():
+    cases = 0
+    for g in _greedy_reference_graphs():
+        for mode in (NOISE_FREE, Gain(0.3), Gain(20.0)):
+            for m in (1, 2, 3, 5):
+                res = greedy_select(g, m, mode)
+                members, evaluated = _greedy_reference(g, m, mode)
+                assert res.optimal_sets == (members,), (g.n, mode, m)
+                assert res.evaluated_count == evaluated
+                oracle = _oracle_total_error(g, members, mode)
+                assert rel_dev(res.objective.total_error, oracle) < 1e-10
+                cases += 1
+    assert cases == 480
 
 
 def test_closed_form_cycle_uniform():
