@@ -7,8 +7,6 @@ identical inputs and seed; timing lives outside the payload.
 
 Exit codes: 0 success, 2 input error, 3 evaluation budget exceeded,
 4 identity violation, 5 stability violation.
-
-LEADSEL_THREADS caps internal parallelism (default: available cores).
 """
 
 import argparse
@@ -45,7 +43,6 @@ from .selection import (
     exhaustive_select,
     greedy_select,
     pairwise_sweep,
-    worker_count,
 )
 from .simulate import SimConfig, StabilityError, simulate
 from .verify import DEFAULT_K_VALUES, verify_graph, verify_random_suite, verify_small_suite
@@ -184,9 +181,7 @@ def _cmd_select(args, started):
     g = _load_graph(args.graph)
     mode = _mode_from(args)
     if args.method == "exhaustive":
-        result = exhaustive_select(
-            g, args.m, mode, sigma=args.sigma, budget=args.budget, threads=worker_count(args.threads)
-        )
+        result = exhaustive_select(g, args.m, mode, sigma=args.sigma, budget=args.budget)
     elif args.method == "greedy":
         result = greedy_select(g, args.m, mode, sigma=args.sigma)
     else:
@@ -430,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", choices=("cycle", "path"), default=None,
                    help="asserted topology for --method closed-form")
     p.add_argument("--budget", type=int, default=10_000_000, help="max subsets to evaluate")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: LEADSEL_THREADS or all cores)")
     p.set_defaults(func=_cmd_select)
 
     p = subs.add_parser("pairs", help="two-leader joint centrality for every pair")

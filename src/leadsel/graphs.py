@@ -161,7 +161,8 @@ class LeaderSet:
         """Validate the member ids against a graph of n nodes.
 
         Noise-free leaders need at least one follower; finite-gain leader
-        sets may cover the whole graph (L + K stays invertible).
+        sets may cover the whole graph (L + K stays invertible). Returns the
+        leader set itself.
         """
         if any(v >= n for v in self.members):
             raise GraphError(f"leader set {self.members} outside node range 0..{n - 1}")
@@ -169,6 +170,7 @@ class LeaderSet:
             raise GraphError(f"leader set larger than the graph: m={self.m}, n={n}")
         if isinstance(self.mode, NoiseFree) and self.m >= n:
             raise GraphError(f"noise-free leaders need at least one follower: m={self.m}, n={n}")
+        return self
 
 
 def adjacency(g: Graph) -> np.ndarray:

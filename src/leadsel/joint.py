@@ -12,6 +12,9 @@ expansion); the equivalent compact matrix form
     n / rho = K_f/n + n det(G) det(L+_S) + Tr(Q)/2 - 1^T Q e_l1,
 with Q = Gbar * Gamma_S, is evaluated alongside and reported in ``terms``.
 Both routes agree to rounding; tests enforce it.
+
+Two-leader values, noise-free and with finite gain, single pairs and whole
+pair arrays, all come from one pair formula in ``_pair_kernel``.
 """
 
 import logging
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Gain, GraphError, NoiseFree
+from .graphs import Gain, GraphError, LeaderSet, NoiseFree
 from .kernels import GraphKernels
 
 log = logging.getLogger(__name__)
@@ -56,17 +59,6 @@ def n_inverse_entries(kernels: GraphKernels, pivot: int) -> np.ndarray:
     return lp - col[:, None] - col[None, :] + lp[pivot, pivot]
 
 
-def _validate_members(kernels, members):
-    members = tuple(int(v) for v in members)
-    if len(set(members)) != len(members):
-        raise GraphError(f"leader set {members} has repeated nodes")
-    if any(not 0 <= v < kernels.n for v in members):
-        raise GraphError(f"leader set {members} outside node range 0..{kernels.n - 1}")
-    if not 1 <= len(members) < kernels.n:
-        raise GraphError(f"need 1 <= m < n, got m={len(members)}, n={kernels.n}")
-    return members
-
-
 def joint_centrality(kernels: GraphKernels, members, pivot=None, sigma: float = 1.0) -> JointCentralityResult:
     """Joint centrality of an arbitrary leader set (1 <= m < n).
 
@@ -74,7 +66,7 @@ def joint_centrality(kernels: GraphKernels, members, pivot=None, sigma: float = 
     on the choice. For m = 1 the grounded block is empty and the conventions
     det(empty) = 1, Q = 0 make rho equal the node's information centrality.
     """
-    members = _validate_members(kernels, members)
+    members = LeaderSet(members).check_against(kernels.n).members
     if pivot is None:
         pivot = members[0]
     pivot = int(pivot)
@@ -157,12 +149,48 @@ def joint_centrality(kernels: GraphKernels, members, pivot=None, sigma: float = 
     )
 
 
-def _pair_ingredients(kernels, s1, s2):
-    lp = kernels.lplus
-    l2p = kernels.l2plus
-    r = float(lp[s1, s1] + lp[s2, s2] - 2.0 * lp[s1, s2])
-    gamma = float(l2p[s1, s1] + l2p[s2, s2] - 2.0 * l2p[s1, s2])
-    return r, gamma
+def _pair_kernel(kernels: GraphKernels, ii, jj, u: float):
+    """n / rho of the leader pairs (ii, jj), elementwise, with r, gamma and the minor.
+
+    With u = 1/k for leaders of gain k and u = 0 for noise-free leaders,
+        n / rho = K_f/n + (n (u^2 + u (L+[i,i] + L+[j,j]) + minor) - gamma) / (r + 2u),
+    where r = L+[i,i] + L+[j,j] - 2 L+[i,j] is the resistance distance, gamma
+    the same combination of (L^2)+ and minor = L+[i,i] L+[j,j] - L+[i,j]^2.
+    The noise-free value is the k -> inf limit of the gain value. ii and jj
+    are node ids or equal-length arrays of them.
+    """
+    # Entries are gathered afresh in each line rather than named, so that
+    # numpy reuses the temporaries of a whole-graph sweep in place.
+    lp, l2p = kernels.lplus, kernels.l2plus
+    d, d2 = lp.diagonal(), l2p.diagonal()
+    r = d[ii] + d[jj] - 2.0 * lp[ii, jj]
+    gamma = d2[ii] + d2[jj] - 2.0 * l2p[ii, jj]
+    minor = d[ii] * d[jj] - lp[ii, jj] ** 2
+    n_over_rho = kernels.kirchhoff / kernels.n + (
+        kernels.n * (u * (u + d[ii] + d[jj]) + minor) - gamma
+    ) / (r + 2.0 * u)
+    if not np.all(n_over_rho > 0.0) or not np.all(np.isfinite(n_over_rho)):
+        raise NumericalDegeneracyError("nonpositive inverse joint centrality of a leader pair")
+    return n_over_rho, r, gamma, minor
+
+
+def _pair_result(kernels, s1, s2, u, sigma, terms=()):
+    s1, s2 = LeaderSet((s1, s2)).check_against(kernels.n).members
+    n_over_rho, r, gamma, minor = (float(x) for x in _pair_kernel(kernels, s1, s2, u))
+    return JointCentralityResult(
+        rho=kernels.n / n_over_rho,
+        implied_total_error=0.5 * sigma * sigma * n_over_rho,
+        terms={
+            "kirchhoff_over_n": kernels.kirchhoff / kernels.n,
+            "det_G": 1.0 / r,
+            "det_LplusS": minor,
+            "trace_Q": 0.0,
+            "q_pivot": gamma / r,
+            **dict(terms),
+        },
+        pivot_used=s1,
+        warnings=(),
+    )
 
 
 def joint_centrality_two(kernels: GraphKernels, s1: int, s2: int, sigma: float = 1.0) -> JointCentralityResult:
@@ -171,26 +199,7 @@ def joint_centrality_two(kernels: GraphKernels, s1: int, s2: int, sigma: float =
     n / rho = K_f/n + (n L+[s1,s1] L+[s2,s2] - n L+[s1,s2]^2 - gamma) / r;
     agrees with the general-m routine.
     """
-    s1, s2 = _validate_members(kernels, (s1, s2))
-    lp = kernels.lplus
-    n = kernels.n
-    kf_over_n = kernels.kirchhoff / n
-    r, gamma = _pair_ingredients(kernels, s1, s2)
-    minor = float(lp[s1, s1] * lp[s2, s2] - lp[s1, s2] ** 2)
-    n_over_rho = float(kf_over_n + (n * minor - gamma) / r)
-    return JointCentralityResult(
-        rho=n / n_over_rho,
-        implied_total_error=0.5 * sigma * sigma * n_over_rho,
-        terms={
-            "kirchhoff_over_n": kf_over_n,
-            "det_G": 1.0 / r,
-            "det_LplusS": minor,
-            "trace_Q": 0.0,
-            "q_pivot": gamma / r,
-        },
-        pivot_used=s1,
-        warnings=(),
-    )
+    return _pair_result(kernels, s1, s2, 0.0, sigma)
 
 
 def joint_centrality_two_gain(
@@ -203,34 +212,8 @@ def joint_centrality_two_gain(
                          - k^2 gamma] / (k (2 + k r)).
     Approaches the noise-free two-leader value as k grows.
     """
-    s1, s2 = _validate_members(kernels, (s1, s2))
-    if not (math.isfinite(k) and k > 0.0):
-        raise GraphError(f"gain k must be finite and positive, got {k}")
-    lp = kernels.lplus
-    n = kernels.n
-    kf_over_n = kernels.kirchhoff / n
-    r, gamma = _pair_ingredients(kernels, s1, s2)
-    minor = float(lp[s1, s1] * lp[s2, s2] - lp[s1, s2] ** 2)
-    den = k * (2.0 + k * r)
-    n_over_rho = float(
-        kf_over_n
-        + n * (1.0 + k * (lp[s1, s1] + lp[s2, s2])) / den
-        + (n * k * k * minor - k * k * gamma) / den
-    )
-    return JointCentralityResult(
-        rho=n / n_over_rho,
-        implied_total_error=0.5 * sigma * sigma * n_over_rho,
-        terms={
-            "kirchhoff_over_n": kf_over_n,
-            "det_G": 1.0 / r,
-            "det_LplusS": minor,
-            "trace_Q": 0.0,
-            "q_pivot": gamma / r,
-            "gain_k": k,
-        },
-        pivot_used=s1,
-        warnings=(),
-    )
+    k = Gain(k).k  # finite and positive
+    return _pair_result(kernels, s1, s2, 1.0 / k, sigma, {"gain_k": k})
 
 
 def single_leader_error(kernels: GraphKernels, s: int, mode=None, sigma: float = 1.0) -> float:
@@ -240,7 +223,7 @@ def single_leader_error(kernels: GraphKernels, s: int, mode=None, sigma: float =
     (n sigma^2 / 2) (1/k + 1/c_s). Either way the best single leader is the
     node with maximal information centrality.
     """
-    (s,) = _validate_members(kernels, (s,))
+    (s,) = LeaderSet((s,)).check_against(kernels.n).members
     if mode is None:
         mode = NoiseFree()
     lp = kernels.lplus

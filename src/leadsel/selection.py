@@ -4,6 +4,8 @@ Four routes to the same question "which m nodes should lead":
 
 * exhaustive_select  - enumerate all m-subsets, objective from joint
   centrality (noise-free; gain for m <= 2) or the trace oracle (gain, m > 2);
+  pairs, noise-free and with gain, are scored a chunk at a time by the one
+  pair kernel of ``joint``;
 * oracle_select      - same enumeration, objective always from the dense
   trace oracle (the slow, trusted route);
 * greedy_select      - grow the set one node at a time by the largest error
@@ -19,15 +21,13 @@ results unverifiable.
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import graphs
 from .graphs import Gain, Graph, GraphError, LeaderSet, NOISE_FREE, NoiseFree
-from .joint import joint_centrality, joint_centrality_two_gain, single_leader_error
+from .joint import _pair_kernel, joint_centrality, single_leader_error
 from .kernels import (
     compute_kernels,
     oracle_error_gain,
@@ -65,40 +65,25 @@ class SelectionResult:
     notes: tuple = field(default=())
 
 
-def worker_count(threads=None) -> int:
-    """Resolve a thread count: explicit arg, else LEADSEL_THREADS, else cores."""
-    if threads is None:
-        env = os.environ.get("LEADSEL_THREADS")
-        if env is not None:
-            threads = int(env)
-        else:
-            threads = os.cpu_count() or 1
-    return max(1, int(threads))
-
-
-def _mode_error_fn(g, mode, m, sigma, kernels):
-    """Per-set total-error callable for the exhaustive objective."""
+def _chunk_errors(g, mode, m, sigma, kernels):
+    """Chunk-of-sets -> total errors callable for the exhaustive objective."""
+    if not isinstance(mode, (NoiseFree, Gain)):
+        raise GraphError(f"mode must be NoiseFree or Gain, got {mode!r}")
+    if m == 1:
+        return lambda chunk: [single_leader_error(kernels, s[0], mode, sigma) for s in chunk]
+    if m == 2:
+        u = 1.0 / mode.k if isinstance(mode, Gain) else 0.0
+        return lambda chunk: 0.5 * sigma * sigma * _pair_kernel(kernels, *np.array(chunk).T, u)[0]
     if isinstance(mode, NoiseFree):
-        if m == 1:
-            return lambda s: single_leader_error(kernels, s[0], mode, sigma)
-        return lambda s: joint_centrality(kernels, s, sigma=sigma).implied_total_error
-    if isinstance(mode, Gain):
-        if m == 1:
-            return lambda s: single_leader_error(kernels, s[0], mode, sigma)
-        if m == 2:
-            return lambda s: joint_centrality_two_gain(
-                kernels, s[0], s[1], mode.k, sigma
-            ).implied_total_error
-        return lambda s: oracle_error_gain(g, LeaderSet(s, mode), sigma).total_error
-    raise GraphError(f"mode must be NoiseFree or Gain, got {mode!r}")
+        return lambda chunk: [
+            joint_centrality(kernels, s, sigma=sigma).implied_total_error for s in chunk
+        ]
+    return lambda chunk: [oracle_error_gain(g, LeaderSet(s, mode), sigma).total_error for s in chunk]
 
 
-def _oracle_error_fn(g, mode, sigma):
-    if isinstance(mode, NoiseFree):
-        return lambda s: oracle_error_noise_free(g, LeaderSet(s, mode), sigma).total_error
-    if isinstance(mode, Gain):
-        return lambda s: oracle_error_gain(g, LeaderSet(s, mode), sigma).total_error
-    raise GraphError(f"mode must be NoiseFree or Gain, got {mode!r}")
+def _oracle_chunk_errors(g, mode, sigma):
+    oracle = oracle_error_gain if isinstance(mode, Gain) else oracle_error_noise_free
+    return lambda chunk: [oracle(g, LeaderSet(s, mode), sigma).total_error for s in chunk]
 
 
 def _chunked(iterable, size):
@@ -110,21 +95,12 @@ def _chunked(iterable, size):
         yield chunk
 
 
-def _scan_chunk(chunk, error_fn):
-    """Best error in a chunk plus every candidate within a safety margin."""
-    best = math.inf
-    near = []
-    for s in chunk:
-        err = error_fn(s)
-        if err < best:
-            best = err
-            near = [(ss, ee) for ss, ee in near if ee <= best * (1.0 + 10.0 * TIE_TOL)]
-        if err <= best * (1.0 + 10.0 * TIE_TOL):
-            near.append((s, err))
-    return best, near
+def _search(g, m, chunk_errors, method, *, budget, sigma):
+    """Every m-subset within TIE_TOL of the least error, scored chunk by chunk.
 
-
-def _search(g, m, error_fn, method, *, budget, threads, sigma, notes=()):
+    Only sets within TIE_TOL of the running minimum are kept; the minimum
+    only falls, so a set dropped on the way can never be a final tie.
+    """
     if not 1 <= m < g.n:
         raise GraphError(f"need 1 <= m < n, got m={m}, n={g.n}")
     count = math.comb(g.n, m)
@@ -133,26 +109,21 @@ def _search(g, m, error_fn, method, *, budget, threads, sigma, notes=()):
             f"C({g.n}, {m}) = {count} subsets exceeds the budget of {budget}; "
             "consider greedy_select"
         )
-    combos = itertools.combinations(range(g.n), m)
-    workers = worker_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _scan_chunk(c, error_fn), _chunked(combos, _CHUNK)))
-    else:
-        results = [_scan_chunk(c, error_fn) for c in _chunked(combos, _CHUNK)]
-    best = min(r[0] for r in results)
-    ties = sorted(
-        s for _, near in results for s, e in near if e <= best * (1.0 + TIE_TOL)
-    )
-    best = float(best)
+    best = math.inf
+    near = []
+    for chunk in _chunked(itertools.combinations(range(g.n), m), _CHUNK):
+        errors = np.asarray(chunk_errors(chunk), dtype=float)
+        best = min(best, float(errors.min()))
+        cut = best * (1.0 + TIE_TOL)
+        near = [(s, e) for s, e in near if e <= cut]
+        near += [(chunk[i], errors[i]) for i in np.flatnonzero(errors <= cut)]
     rho = g.n * sigma * sigma / (2.0 * best)
     return SelectionResult(
-        optimal_sets=tuple(ties),
+        optimal_sets=tuple(sorted(s for s, _ in near)),
         objective=Objective(rho=rho, total_error=best),
         method=method,
         evaluated_count=count,
         m=m,
-        notes=tuple(notes),
     )
 
 
@@ -163,14 +134,13 @@ def exhaustive_select(
     *,
     sigma: float = 1.0,
     budget: int = DEFAULT_BUDGET,
-    threads=1,
     kernels=None,
 ) -> SelectionResult:
     """All argmin-error (equivalently argmax-rho) m-subsets by enumeration."""
     if kernels is None:
         kernels = compute_kernels(g)
-    error_fn = _mode_error_fn(g, mode, m, sigma, kernels)
-    return _search(g, m, error_fn, "exhaustive", budget=budget, threads=threads, sigma=sigma)
+    chunk_errors = _chunk_errors(g, mode, m, sigma, kernels)
+    return _search(g, m, chunk_errors, "exhaustive", budget=budget, sigma=sigma)
 
 
 def oracle_select(
@@ -180,12 +150,9 @@ def oracle_select(
     *,
     sigma: float = 1.0,
     budget: int = DEFAULT_BUDGET,
-    threads=1,
 ) -> SelectionResult:
     """Enumeration with the dense trace oracle as the objective."""
-    return _search(
-        g, m, _oracle_error_fn(g, mode, sigma), "oracle", budget=budget, threads=threads, sigma=sigma
-    )
+    return _search(g, m, _oracle_chunk_errors(g, mode, sigma), "oracle", budget=budget, sigma=sigma)
 
 
 def _first_near_min(values) -> int:
@@ -388,16 +355,9 @@ def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernel
         for i, j in pairs:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"invalid node pair ({i}, {j})")
-    lp = kernels.lplus
-    l2p = kernels.l2plus
-    d = np.diag(lp)
-    d2 = np.diag(l2p)
     ii = np.array([p[0] for p in pairs])
     jj = np.array([p[1] for p in pairs])
-    r = d[ii] + d[jj] - 2.0 * lp[ii, jj]
-    gamma = d2[ii] + d2[jj] - 2.0 * l2p[ii, jj]
-    minor = d[ii] * d[jj] - lp[ii, jj] ** 2
-    n_over_rho = kernels.kirchhoff / n + (n * minor - gamma) / r
+    n_over_rho = _pair_kernel(kernels, ii, jj, 0.0)[0]
     return PairSweep(n=n, pairs=tuple(pairs), rho=n / n_over_rho)
 
 

@@ -283,3 +283,14 @@ def test_pairs_nonpositive_bins_exit_2(cycle6, capsys, bins):
 @pytest.mark.parametrize("k_values", ["1,x", ",", "1,-1"])
 def test_verify_bad_k_values_exit_2(cycle6, capsys, k_values):
     assert input_error(capsys, "verify", cycle6, "--k-values", k_values) == 2
+
+
+def test_select_ignores_leadsel_threads(cycle6, capsys, monkeypatch):
+    # the enumeration is serial; a stale thread-count variable changes nothing
+    monkeypatch.setenv("LEADSEL_THREADS", "abc")
+    report = run_json(capsys, "select", cycle6, "--m", "2")
+    assert report["payload"]["optimal_sets"] == [[0, 3], [1, 4], [2, 5]]
+
+
+def test_select_threads_option_removed(cycle6, capsys):
+    assert input_error(capsys, "select", cycle6, "--m", "2", "--threads", "2") == 2

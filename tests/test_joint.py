@@ -19,6 +19,7 @@ from leadsel import (
     n_inverse_entries,
     oracle_error_gain,
     oracle_error_noise_free,
+    pairwise_sweep,
     path,
     resistance_matrix,
     single_leader_error,
@@ -98,11 +99,15 @@ def test_two_leader_specialization_agrees():
     rng = np.random.default_rng(37)
     g = seeded_random_graph(rng, 9, weighted=True)
     k = compute_kernels(g)
+    specials = []
     for s1, s2 in itertools.combinations(range(g.n), 2):
         general = joint_centrality(k, (s1, s2)).rho
         special = joint_centrality_two(k, s1, s2).rho
         assert rel_dev(special, general) < 1e-9
         assert rel_dev(joint_centrality_two(k, s2, s1).rho, special) < 1e-12
+        specials.append(special)
+    # the sweep and the single-pair routine share one pair formula
+    assert np.array_equal(pairwise_sweep(g).rho, specials)
 
 
 def test_path3_end_pair_beats_adjacent_pair():

@@ -24,8 +24,6 @@ from leadsel import (
     path,
     tridiagonal_chain_trace,
 )
-from leadsel.selection import worker_count
-
 from conftest import rel_dev, seeded_random_graph
 
 
@@ -74,19 +72,20 @@ def test_exhaustive_budget_error():
         exhaustive_select(complete(14), 5, budget=100)
 
 
-def test_exhaustive_thread_schedule_does_not_change_result():
-    g = cycle(9)
-    serial = exhaustive_select(g, 3, threads=1)
-    threaded = exhaustive_select(g, 3, threads=4)
-    assert serial == threaded
+def test_exhaustive_merges_ties_across_chunks():
+    # C(33, 3) = 5456 sets span two chunks of the enumeration
+    res = exhaustive_select(cycle(33), 3)
+    assert res.optimal_sets == tuple((i, i + 11, i + 22) for i in range(11))
+    assert res.evaluated_count == 5456
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("LEADSEL_THREADS", "3")
-    assert worker_count(None) == 3
-    assert worker_count(7) == 7
-    monkeypatch.delenv("LEADSEL_THREADS")
-    assert worker_count(None) >= 1
+def test_exhaustive_pairs_enumerate_every_antipodal_tie():
+    for n in range(4, 21, 2):
+        for mode in (NOISE_FREE, Gain(0.5), Gain(2.0)):
+            exact = exhaustive_select(cycle(n), 2, mode)
+            closed = closed_form_cycle_two(n, mode)
+            assert exact.optimal_sets == closed.optimal_sets
+            assert rel_dev(exact.objective.total_error, closed.objective.total_error) < 1e-9
 
 
 def test_greedy_first_pick_is_most_central():
