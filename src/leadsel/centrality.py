@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import GraphError
 from .kernels import GraphKernels
 
 
@@ -34,8 +35,11 @@ def info_centrality(kernels: GraphKernels) -> np.ndarray:
     """Information centrality c_i = n / sum_j r[i, j].
 
     Harmonic average of the total information (inverse resistance) between
-    node i and every other node.
+    node i and every other node. Undefined on a single node, which has no
+    other node.
     """
+    if kernels.n < 2:
+        raise GraphError("information centrality needs at least two nodes")
     rowsum = resistance_matrix(kernels).sum(axis=1)
     return kernels.n / rowsum
 

@@ -34,6 +34,7 @@ from .graphs import (
     path,
     serialize_edge_list,
 )
+from .joint import NumericalDegeneracyError
 from .kernels import SpectralError, compute_kernels, oracle_error_gain, oracle_error_noise_free
 from .selection import (
     BudgetError,
@@ -282,13 +283,15 @@ def _cmd_verify(args, started):
         graph = None
     else:
         raise GraphError("verify needs a graph file or --suite {small,random}")
+    base = args.index_base
     payload = {
         "checks": report.checks,
         "max_rel_dev_noise_free": report.max_rel_dev_noise_free,
         "max_rel_dev_gain": report.max_rel_dev_gain,
         "tolerance": report.tolerance,
         "violations": [
-            {"graph": v.graph_label, "set": list(v.members), "k": v.k, "rel_dev": v.rel_dev}
+            {"graph": v.graph_label, "set": [_shift(i, base) for i in v.members], "k": v.k,
+             "rel_dev": v.rel_dev}
             for v in report.violations
         ],
     }
@@ -305,12 +308,14 @@ def _cmd_verify(args, started):
         "tol": args.tol,
         "m_max": args.m_max,
         "k_values": list(k_values),
+        "index_base": base,
     }
     _emit(args, "verify", params, graph, payload, csv_rows, started)
     if report.violations:
         first = report.violations[0]
         print(
-            f"identity violation: graph={first.graph_label} set={first.members} "
+            f"identity violation: graph={first.graph_label} "
+            f"set={tuple(_shift(i, base) for i in first.members)} "
             f"k={first.k} rel_dev={first.rel_dev:.3e}",
             file=sys.stderr,
         )
@@ -393,14 +398,16 @@ def _cmd_generate(args, started):
     return EXIT_OK
 
 
-def _add_common(sub, graph_required=True, sigma=_sigma):
-    if graph_required:
-        sub.add_argument("graph", help="edge-list file")
+def _add_common(sub, sigma=_sigma):
+    """Options shared by the commands that read one graph; ``sigma=None``
+    leaves out --sigma for a command whose output does not depend on it."""
+    sub.add_argument("graph", help="edge-list file")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="write the report to a file instead of stdout")
     sub.add_argument("--index-base", type=int, choices=(0, 1), default=0,
                      help="node-id base used in output (input files are always 0-indexed)")
-    sub.add_argument("--sigma", type=sigma, default=1.0, help="noise intensity (default 1)")
+    if sigma is not None:
+        sub.add_argument("--sigma", type=sigma, default=1.0, help="noise intensity (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_select)
 
     p = subs.add_parser("pairs", help="two-leader joint centrality for every pair")
-    _add_common(p)
+    _add_common(p, sigma=None)
     p.add_argument("--bins", type=_positive_int, default=10, help="histogram bin count")
     p.add_argument("--pair-list", default=None, help="file of 'u v' lines restricting the sweep")
     p.add_argument("--budget", type=int, default=10_000_000)
@@ -483,7 +490,7 @@ def main(argv=None) -> int:
     except StabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STABILITY
-    except (GraphError, SpectralError) as exc:
+    except (GraphError, SpectralError, NumericalDegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

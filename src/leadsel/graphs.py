@@ -288,6 +288,20 @@ def complete(n: int) -> Graph:
     return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
+def _gnp_edges(rng, n: int, p: float, weighted: bool = False) -> tuple:
+    """Edges of one G(n, p) draw from rng, in (u, v) order with u < v.
+
+    One uniform draw per node pair decides the edge; with ``weighted`` a
+    second draw per pair gives weights uniform in [0.5, 2).
+    """
+    iu, iv = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < p
+    if weighted:
+        w = rng.uniform(0.5, 2.0, size=iu.size)
+        return tuple(zip(iu[keep].tolist(), iv[keep].tolist(), w[keep].tolist()))
+    return tuple(zip(iu[keep].tolist(), iv[keep].tolist()))
+
+
 def erdos_renyi(n: int, p: float, seed: int, max_tries: int = 200) -> Graph:
     """Random G(n, p) graph, resampled until connected.
 
@@ -299,12 +313,9 @@ def erdos_renyi(n: int, p: float, seed: int, max_tries: int = 200) -> Graph:
     if not (0.0 < p <= 1.0):
         raise GraphError(f"edge probability must be in (0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for _ in range(max_tries):
-        keep = rng.random(len(pairs)) < p
-        edges = tuple(pairs[i] for i in np.flatnonzero(keep))
         try:
-            return Graph(n, edges)
+            return Graph(n, _gnp_edges(rng, n, p))
         except DisconnectedGraphError:
             continue
     raise GraphError(

@@ -2,22 +2,21 @@
 
 The joint centrality rho of a leader set S is defined so that the total
 steady-state tracking error with noise-free leaders equals
-(sigma^2 / 2) * (n / rho). It is assembled from entries of L+ relative to a
-pivot member l1 of S: a grounded Gram matrix G over S \\ {l1}, the principal
-submatrix L+_S, and biharmonic-distance couplings between the pivot and the
-rest of the set.
+(sigma^2 / 2) * (n / rho). It is evaluated from entries of L+ relative to a
+pivot member p of S and the rest R = S \\ {p}:
 
-rho is computed from the explicit double sum over all n nodes (the grounded
-expansion); the equivalent compact matrix form
-    n / rho = K_f/n + n det(G) det(L+_S) + Tr(Q)/2 - 1^T Q e_l1,
-with Q = Gbar * Gamma_S, is evaluated alongside and reported in ``terms``.
-Both routes agree to rounding; tests enforce it.
+    n / rho = K_f/n + n (L+[p,p] - e^T G e) - tr(G D^T D),
+
+where D = L+[:, p] - L+[:, R] (one column per member of R), e = D[p] and G
+is the inverse of the pivot-grounded Gram block over R (``n_inverse_entries``).
+For m = 1, R is empty and rho is the node's information centrality. The
+paper's compact form (two determinants and Gamma_S) is the same quantity;
+the tests use it as a cross-check.
 
 Two-leader values, noise-free and with finite gain, single pairs and whole
 pair arrays, all come from one pair formula in ``_pair_kernel``.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -25,8 +24,6 @@ import numpy as np
 
 from .graphs import Gain, GraphError, LeaderSet, NoiseFree
 from .kernels import GraphKernels
-
-log = logging.getLogger(__name__)
 
 # |det| below this fraction of its Hadamard bound marks a suspect product
 _DET_WARN = 1e-12
@@ -38,12 +35,10 @@ class NumericalDegeneracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class JointCentralityResult:
-    """Joint centrality rho plus the intermediate terms of its compact form."""
+    """Joint centrality rho, the error it implies and any conditioning warnings."""
 
     rho: float
     implied_total_error: float
-    terms: dict
-    pivot_used: int
     warnings: tuple = ()
 
 
@@ -63,8 +58,7 @@ def joint_centrality(kernels: GraphKernels, members, pivot=None, sigma: float = 
     """Joint centrality of an arbitrary leader set (1 <= m < n).
 
     ``pivot`` defaults to the first member; the value of rho does not depend
-    on the choice. For m = 1 the grounded block is empty and the conventions
-    det(empty) = 1, Q = 0 make rho equal the node's information centrality.
+    on the choice.
     """
     members = LeaderSet(members).check_against(kernels.n).members
     if pivot is None:
@@ -74,62 +68,24 @@ def joint_centrality(kernels: GraphKernels, members, pivot=None, sigma: float = 
         raise GraphError(f"pivot {pivot} not in leader set {members}")
     lp = kernels.lplus
     n = kernels.n
-    kf_over_n = kernels.kirchhoff / n
     rest = [v for v in members if v != pivot]
-    warnings = []
-
-    if not rest:
-        det_g = 1.0
-        det_lplus_s = float(lp[pivot, pivot])
-        trace_q = 0.0
-        q_pivot = 0.0
-        n_over_rho = kf_over_n + n * lp[pivot, pivot]
-    else:
-        grounded = n_inverse_entries(kernels, pivot)[np.ix_(rest, rest)]
-        det_grounded = float(np.linalg.det(grounded))
-        if not (math.isfinite(det_grounded) and det_grounded > 0.0):
-            raise NumericalDegeneracyError(
-                f"grounded Gram matrix of {members} (pivot {pivot}) is numerically singular"
-            )
-        gmat = np.linalg.inv(grounded)
-
-        # explicit double sum over leader pairs and all n nodes
-        diffs = lp[:, [pivot]] - lp[:, rest]  # column a: L+[:, pivot] - L+[:, a]
-        row = lp[pivot]
-        acc = 0.0
-        for ia in range(len(rest)):
-            da = diffs[:, ia]
-            for ib in range(len(rest)):
-                db = diffs[:, ib]
-                a, b = rest[ia], rest[ib]
-                x_ab = row[pivot] * (row[pivot] - row[a] - row[b]) + row[a] * row[b]
-                half = 0.5 * float(np.sum(da * da + db * db - (da - db) ** 2))
-                acc += gmat[ia, ib] * (n * x_ab + half)
-        n_over_rho = kf_over_n + n * lp[pivot, pivot] - acc
-
-        # compact matrix form, reported alongside
-        order = [pivot] + rest
-        lp_s = lp[np.ix_(order, order)]
-        det_g = 1.0 / det_grounded
-        det_lplus_s = float(np.linalg.det(lp_s))
-        d2 = np.diag(kernels.l2plus)
-        gamma_s = (
-            d2[order][:, None] + d2[order][None, :] - 2.0 * kernels.l2plus[np.ix_(order, order)]
+    grounded = n_inverse_entries(kernels, pivot)[np.ix_(rest, rest)]
+    det_grounded = float(np.linalg.det(grounded))
+    if not (math.isfinite(det_grounded) and det_grounded > 0.0):
+        raise NumericalDegeneracyError(
+            f"grounded Gram matrix of {members} (pivot {pivot}) is numerically singular"
         )
-        np.fill_diagonal(gamma_s, 0.0)
-        gbar = np.zeros((len(order), len(order)))
-        gbar[1:, 1:] = gmat
-        q = gbar @ gamma_s
-        trace_q = float(np.trace(q))
-        q_pivot = float(q[:, 0].sum())
-        log.debug("trace_Q=%.6g for set %s (pivot %s)", trace_q, members, pivot)
-
-        if abs(det_grounded) < _DET_WARN * float(np.prod(np.abs(np.diag(grounded)))):
-            warnings.append("det of the grounded Gram matrix is far below its natural scale")
-        if abs(det_lplus_s) < _DET_WARN * float(np.prod(np.abs(np.diag(lp_s)))):
-            warnings.append("det of L+_S is far below its natural scale")
-
-    n_over_rho = float(n_over_rho)
+    warnings = ()
+    if abs(det_grounded) < _DET_WARN * float(np.prod(np.abs(np.diag(grounded)))):
+        warnings = ("det of the grounded Gram matrix is far below its natural scale",)
+    gmat = np.linalg.inv(grounded)
+    diffs = lp[:, [pivot]] - lp[:, rest]
+    e = diffs[pivot]
+    n_over_rho = float(
+        kernels.kirchhoff / n
+        + n * (lp[pivot, pivot] - e @ gmat @ e)
+        - np.sum((diffs @ gmat) * diffs)
+    )
     if not (math.isfinite(n_over_rho) and n_over_rho > 0.0):
         raise NumericalDegeneracyError(
             f"nonpositive inverse joint centrality {n_over_rho} for set {members}"
@@ -137,20 +93,12 @@ def joint_centrality(kernels: GraphKernels, members, pivot=None, sigma: float = 
     return JointCentralityResult(
         rho=n / n_over_rho,
         implied_total_error=0.5 * sigma * sigma * n_over_rho,
-        terms={
-            "kirchhoff_over_n": kf_over_n,
-            "det_G": det_g,
-            "det_LplusS": det_lplus_s,
-            "trace_Q": trace_q,
-            "q_pivot": q_pivot,
-        },
-        pivot_used=pivot,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
 def _pair_kernel(kernels: GraphKernels, ii, jj, u: float):
-    """n / rho of the leader pairs (ii, jj), elementwise, with r, gamma and the minor.
+    """n / rho of the leader pairs (ii, jj), elementwise.
 
     With u = 1/k for leaders of gain k and u = 0 for noise-free leaders,
         n / rho = K_f/n + (n (u^2 + u (L+[i,i] + L+[j,j]) + minor) - gamma) / (r + 2u),
@@ -171,25 +119,15 @@ def _pair_kernel(kernels: GraphKernels, ii, jj, u: float):
     ) / (r + 2.0 * u)
     if not np.all(n_over_rho > 0.0) or not np.all(np.isfinite(n_over_rho)):
         raise NumericalDegeneracyError("nonpositive inverse joint centrality of a leader pair")
-    return n_over_rho, r, gamma, minor
+    return n_over_rho
 
 
-def _pair_result(kernels, s1, s2, u, sigma, terms=()):
+def _pair_result(kernels, s1, s2, u, sigma):
     s1, s2 = LeaderSet((s1, s2)).check_against(kernels.n).members
-    n_over_rho, r, gamma, minor = (float(x) for x in _pair_kernel(kernels, s1, s2, u))
+    n_over_rho = float(_pair_kernel(kernels, s1, s2, u))
     return JointCentralityResult(
         rho=kernels.n / n_over_rho,
         implied_total_error=0.5 * sigma * sigma * n_over_rho,
-        terms={
-            "kirchhoff_over_n": kernels.kirchhoff / kernels.n,
-            "det_G": 1.0 / r,
-            "det_LplusS": minor,
-            "trace_Q": 0.0,
-            "q_pivot": gamma / r,
-            **dict(terms),
-        },
-        pivot_used=s1,
-        warnings=(),
     )
 
 
@@ -213,7 +151,7 @@ def joint_centrality_two_gain(
     Approaches the noise-free two-leader value as k grows.
     """
     k = Gain(k).k  # finite and positive
-    return _pair_result(kernels, s1, s2, 1.0 / k, sigma, {"gain_k": k})
+    return _pair_result(kernels, s1, s2, 1.0 / k, sigma)
 
 
 def single_leader_error(kernels: GraphKernels, s: int, mode=None, sigma: float = 1.0) -> float:

@@ -73,7 +73,7 @@ def _chunk_errors(g, mode, m, sigma, kernels):
         return lambda chunk: [single_leader_error(kernels, s[0], mode, sigma) for s in chunk]
     if m == 2:
         u = 1.0 / mode.k if isinstance(mode, Gain) else 0.0
-        return lambda chunk: 0.5 * sigma * sigma * _pair_kernel(kernels, *np.array(chunk).T, u)[0]
+        return lambda chunk: 0.5 * sigma * sigma * _pair_kernel(kernels, *np.array(chunk).T, u)
     if isinstance(mode, NoiseFree):
         return lambda chunk: [
             joint_centrality(kernels, s, sigma=sigma).implied_total_error for s in chunk
@@ -339,11 +339,14 @@ def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernel
     """Two-leader joint centrality for every pair (or a given pair list).
 
     Vectorised over the whole L+ / (L^2)+ tables; errors out when the number
-    of pairs exceeds the evaluation budget.
+    of pairs exceeds the evaluation budget. A noise-free pair needs a
+    follower, so the graph needs n >= 3.
     """
+    n = g.n
+    if n < 3:
+        raise GraphError(f"a noise-free leader pair needs a follower: n={n}")
     if kernels is None:
         kernels = compute_kernels(g)
-    n = g.n
     if pairs is None:
         if math.comb(n, 2) > budget:
             raise BudgetError(f"C({n}, 2) = {math.comb(n, 2)} pairs exceeds budget {budget}")
@@ -357,7 +360,7 @@ def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernel
                 raise GraphError(f"invalid node pair ({i}, {j})")
     ii = np.array([p[0] for p in pairs])
     jj = np.array([p[1] for p in pairs])
-    n_over_rho = _pair_kernel(kernels, ii, jj, 0.0)[0]
+    n_over_rho = _pair_kernel(kernels, ii, jj, 0.0)
     return PairSweep(n=n, pairs=tuple(pairs), rho=n / n_over_rho)
 
 

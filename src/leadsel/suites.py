@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, Graph
+from .graphs import DisconnectedGraphError, Graph, GraphError, _gnp_edges
 
 _ATLAS_MAX_N = 6
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
@@ -58,22 +58,15 @@ def random_connected_graphs(
     count: int, n_min: int, n_max: int, seed: int, weighted: bool = False
 ) -> list:
     """Reproducible batch of connected G(n, p) graphs, n uniform in [n_min, n_max]."""
+    if n_min > n_max:
+        raise GraphError(f"empty node-count range: n_min={n_min} > n_max={n_max}")
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
         n = int(rng.integers(n_min, n_max + 1))
         p = float(rng.uniform(0.25, 0.9))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        keep = rng.random(len(pairs)) < p
-        if weighted:
-            w = rng.uniform(0.5, 2.0, size=len(pairs))
-            edges = tuple(
-                (u, v, float(w[i])) for i, (u, v) in enumerate(pairs) if keep[i]
-            )
-        else:
-            edges = tuple(pairs[i] for i in np.flatnonzero(keep))
         try:
-            out.append(Graph(n, edges))
+            out.append(Graph(n, _gnp_edges(rng, n, p, weighted)))
         except DisconnectedGraphError:
             continue
     return out

@@ -294,3 +294,44 @@ def test_select_ignores_leadsel_threads(cycle6, capsys, monkeypatch):
 
 def test_select_threads_option_removed(cycle6, capsys):
     assert input_error(capsys, "select", cycle6, "--m", "2", "--threads", "2") == 2
+
+
+@pytest.mark.parametrize("text", ["n=1\n", "n=2\n0 1\n"], ids=["n1", "n2"])
+def test_pairs_too_few_nodes_exit_2(tmp_path, capsys, text):
+    # a noise-free pair needs a follower, so the sweep needs n >= 3
+    target = tmp_path / "tiny.edges"
+    target.write_text(text)
+    assert input_error(capsys, "pairs", str(target)) == 2
+
+
+def test_centrality_single_node_exit_2(tmp_path, capsys):
+    # information centrality is n / 0 on one node, which JSON cannot carry
+    target = tmp_path / "one.edges"
+    target.write_text("n=1\n")
+    assert input_error(capsys, "centrality", str(target)) == 2
+
+
+def test_select_degenerate_gain_exit_2(cycle6, capsys):
+    # k = 1e-300 overflows 1/k, so the pair formula has no finite value
+    argv = ["select", cycle6, "--m", "2", "--mode", "gain", "--k", "1e-300"]
+    assert input_error(capsys, *argv) == 2
+
+
+def test_verify_random_suite_empty_range_exit_2(capsys):
+    # the suite draws n from [4, n_max]
+    assert input_error(capsys, "verify", "--suite", "random", "--n-max", "3") == 2
+
+
+def test_verify_index_base_one_shifts_violation_sets(cycle6, capsys):
+    _, out0, _ = run(capsys, "verify", cycle6, "--tol", "1e-18")
+    code, out1, err = run(capsys, "verify", cycle6, "--tol", "1e-18", "--index-base", "1")
+    assert code == 4
+    sets0 = [v["set"] for v in json.loads(out0)["payload"]["violations"]]
+    sets1 = [v["set"] for v in json.loads(out1)["payload"]["violations"]]
+    assert sets0 and sets1 == [[i + 1 for i in s] for s in sets0]
+    assert f"set={tuple(sets1[0])}" in err
+
+
+def test_pairs_sigma_option_removed(cycle6, capsys):
+    # the pair sweep reports rho, which does not depend on sigma
+    assert input_error(capsys, "pairs", cycle6, "--sigma", "1") == 2

@@ -62,12 +62,37 @@ def test_single_member_reduces_to_info_centrality():
     for s in range(g.n):
         res = joint_centrality(k, (s,))
         assert rel_dev(res.rho, c[s]) < 1e-12
-        assert res.terms["det_G"] == 1.0 and res.terms["trace_Q"] == 0.0
         assert rel_dev(res.implied_total_error, single_leader_error(k, s)) < 1e-12
 
 
-def test_terms_reconstruct_rho():
-    # compact matrix form must reproduce the double-sum value
+def _compact_form_n_over_rho(k, members):
+    """The paper's compact form of n / rho, built here from the kernels.
+
+    n / rho = K_f/n + n det(G) det(L+_S) + tr(Q)/2 - 1^T Q e_p with
+    Q = Gbar Gamma_S, where det(G) = 1 / det of the grounded Gram block,
+    Gbar is its inverse padded with a zero pivot row and column, and
+    Gamma_S holds the biharmonic distances within S (pivot first).
+    """
+    pivot, rest = members[0], list(members[1:])
+    grounded = n_inverse_entries(k, pivot)[np.ix_(rest, rest)]
+    gbar = np.zeros((len(members), len(members)))
+    gbar[1:, 1:] = np.linalg.inv(grounded)
+    order = list(members)
+    d2 = np.diag(k.l2plus)[order]
+    gamma_s = d2[:, None] + d2[None, :] - 2.0 * k.l2plus[np.ix_(order, order)]
+    np.fill_diagonal(gamma_s, 0.0)
+    q = gbar @ gamma_s
+    det_lplus_s = np.linalg.det(k.lplus[np.ix_(order, order)])
+    return (
+        k.kirchhoff / k.n
+        + k.n * det_lplus_s / np.linalg.det(grounded)
+        + 0.5 * np.trace(q)
+        - q[:, 0].sum()
+    )
+
+
+def test_compact_form_reconstructs_rho():
+    # the compact matrix form must reproduce joint_centrality's value
     rng = np.random.default_rng(19)
     for _ in range(5):
         g = seeded_random_graph(rng, int(rng.integers(5, 12)), weighted=True)
@@ -75,14 +100,7 @@ def test_terms_reconstruct_rho():
         for m in (2, 3, 4):
             members = tuple(sorted(rng.choice(g.n, size=m, replace=False).tolist()))
             res = joint_centrality(k, members)
-            t = res.terms
-            rebuilt = (
-                t["kirchhoff_over_n"]
-                + g.n * t["det_G"] * t["det_LplusS"]
-                + 0.5 * t["trace_Q"]
-                - t["q_pivot"]
-            )
-            assert rel_dev(g.n / rebuilt, res.rho) < 1e-9
+            assert rel_dev(g.n / _compact_form_n_over_rho(k, members), res.rho) < 1e-9
 
 
 def test_pivot_invariance():
@@ -121,6 +139,16 @@ def test_gain_variant_matches_trace_oracle():
     res = joint_centrality_two_gain(k, 0, 2, 1.0)
     oracle = oracle_error_gain(g, LeaderSet((0, 2), Gain(1.0))).total_error
     assert rel_dev(res.implied_total_error, oracle) < 1e-12
+    # asymmetric pairs (unequal L+ diagonals, both orders) tell the two
+    # diagonal entries of the pair formula apart
+    g = seeded_random_graph(np.random.default_rng(61), 9, weighted=True)
+    k = compute_kernels(g)
+    for s1, s2 in ((0, 5), (5, 0), (2, 7), (8, 3)):
+        assert abs(k.lplus[s1, s1] - k.lplus[s2, s2]) > 1e-2
+        for gain in (0.3, 3.0):
+            res = joint_centrality_two_gain(k, s1, s2, gain)
+            oracle = oracle_error_gain(g, LeaderSet((s1, s2), Gain(gain))).total_error
+            assert rel_dev(res.implied_total_error, oracle) < 1e-12
 
 
 def test_gain_variant_large_k_limit():
