@@ -1,9 +1,13 @@
 """Command-line interface.
 
-Commands: centrality, select, pairs, verify, simulate, generate. Reports are
-JSON (default) or RFC-4180 CSV; numbers are serialised losslessly (shortest
-round-trip repr). The payload of a report is byte-identical across runs for
-identical inputs and seed; timing lives outside the payload.
+Commands: centrality, select, pairs, verify, simulate, generate. Each report
+command returns its graph, its payload and one table of rows, and one emitter
+writes them: as JSON (default), which echoes every parsed option under
+``parameters``, or as RFC-4180 CSV, the rows under a header of their keys.
+Numbers are serialised losslessly (shortest round-trip repr). A report that
+holds a non-finite number is written in neither format and exits 2. The
+payload of a report is byte-identical across runs for identical inputs and
+seed; timing lives outside the payload.
 
 Exit codes: 0 success, 2 input error, 3 evaluation budget exceeded,
 4 identity violation, 5 stability violation.
@@ -35,7 +39,7 @@ from .graphs import (
     serialize_edge_list,
 )
 from .joint import NumericalDegeneracyError
-from .kernels import SpectralError, compute_kernels, oracle_error_gain, oracle_error_noise_free
+from .kernels import SpectralError, compute_kernels
 from .selection import (
     BudgetError,
     closed_form_cycle,
@@ -54,7 +58,20 @@ EXIT_BUDGET = 3
 EXIT_IDENTITY = 4
 EXIT_STABILITY = 5
 
+# The first class (in this order) that an error is an instance of gives the exit code.
+EXIT_CODES = {
+    BudgetError: EXIT_BUDGET,
+    StabilityError: EXIT_STABILITY,
+    GraphError: EXIT_INPUT,
+    SpectralError: EXIT_INPUT,
+    NumericalDegeneracyError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
+}
+
 SCHEMA_VERSION = "1"
+
+# Parsed fields that pick the command or say how and where to write the report
+_NOT_ECHOED = ("command", "func", "format", "out")
 
 
 def _load_graph(path_arg) -> Graph:
@@ -75,7 +92,7 @@ def _mode_from(args):
 
 
 def _sigma(text):
-    """--sigma: finite and nonnegative, the rule SimConfig applies."""
+    """--sigma: finite and nonnegative. SimConfig also needs sigma^2 finite."""
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
@@ -83,10 +100,17 @@ def _sigma(text):
 
 
 def _positive_sigma(text):
-    """--sigma where a report divides by the error, which is 0 at sigma = 0."""
+    """--sigma where a report divides by the error, which is 0 when sigma^2 is."""
     value = _sigma(text)
-    if value == 0.0:
-        raise argparse.ArgumentTypeError("must be positive: the error is 0 at sigma = 0")
+    if value * value == 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}: the error is 0 at sigma^2 = 0")
+    return value
+
+
+def _positive_float(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 
@@ -94,6 +118,14 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _seed(text):
+    """--seed: numpy's generators take nonnegative seeds only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
     return value
 
 
@@ -105,26 +137,7 @@ def _shift(node, base):
     return int(node) + base
 
 
-def _emit(args, command, parameters, graph, payload, csv_rows, started):
-    """Assemble the report and write it in the requested format."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        for row in csv_rows:
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": "leadsel",
-            "tool_version": __version__,
-            "command": command,
-            "parameters": parameters,
-            "graph": None if graph is None else {"n": graph.n, "edge_count": graph.edge_count},
-            "payload": payload,
-            "timing_seconds": time.perf_counter() - started,
-        }
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _write(args, text):
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -132,14 +145,39 @@ def _emit(args, command, parameters, graph, payload, csv_rows, started):
         sys.stdout.write(text)
 
 
-def _cmd_centrality(args, started):
+def _emit(args, graph, payload, rows, started):
+    """Write the report as JSON, or its rows as CSV under a header of their
+    keys; a report holding a non-finite number is written in neither format."""
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": "leadsel",
+        "tool_version": __version__,
+        "command": args.command,
+        "parameters": {key: value for key, value in vars(args).items() if key not in _NOT_ECHOED},
+        "graph": None if graph is None else {"n": graph.n, "edge_count": graph.edge_count},
+        "payload": payload,
+        "timing_seconds": time.perf_counter() - started,
+    }
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise GraphError("the report holds a non-finite number: an input is out of range") from None
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows(row.values() for row in rows)
+        text = buf.getvalue()
+    _write(args, text)
+
+
+def _cmd_centrality(args):
     g = _load_graph(args.graph)
     kernels = compute_kernels(g)
     rep = centrality_report(kernels, args.sigma)
-    base = args.index_base
     nodes = [
         {
-            "node": _shift(i, base),
+            "node": _shift(i, args.index_base),
             "info_centrality": float(rep.info_centrality[i]),
             "lplus_diag": float(kernels.lplus[i, i]),
             "certainty_inverse": float(rep.certainty_inverse[i]),
@@ -150,14 +188,7 @@ def _cmd_centrality(args, started):
     if args.full:
         payload["resistance"] = rep.resistance.tolist()
         payload["biharmonic"] = rep.biharmonic.tolist()
-    csv_rows = [["node", "info_centrality", "lplus_diag", "certainty_inverse"]]
-    csv_rows += [
-        [n["node"], repr(n["info_centrality"]), repr(n["lplus_diag"]), repr(n["certainty_inverse"])]
-        for n in nodes
-    ]
-    params = {"graph": args.graph, "sigma": args.sigma, "full": args.full, "index_base": base}
-    _emit(args, "centrality", params, g, payload, csv_rows, started)
-    return EXIT_OK
+    return g, payload, nodes
 
 
 def _closed_form(args, g, mode):
@@ -178,7 +209,7 @@ def _closed_form(args, g, mode):
     return closed_form_path_two(g.n, sigma=args.sigma)
 
 
-def _cmd_select(args, started):
+def _cmd_select(args):
     g = _load_graph(args.graph)
     mode = _mode_from(args)
     if args.method == "exhaustive":
@@ -187,8 +218,7 @@ def _cmd_select(args, started):
         result = greedy_select(g, args.m, mode, sigma=args.sigma)
     else:
         result = _closed_form(args, g, mode)
-    base = args.index_base
-    sets = [[_shift(v, base) for v in s] for s in result.optimal_sets]
+    sets = [[_shift(v, args.index_base) for v in s] for s in result.optimal_sets]
     payload = {
         "method": result.method,
         "m": result.m,
@@ -200,24 +230,12 @@ def _cmd_select(args, started):
         "evaluated_count": result.evaluated_count,
         "notes": list(result.notes),
     }
-    csv_rows = [["optimal_set", "rho", "total_error"]]
-    csv_rows += [
-        [" ".join(str(v) for v in s), repr(result.objective.rho), repr(result.objective.total_error)]
+    rows = [
+        {"optimal_set": " ".join(str(v) for v in s), "rho": result.objective.rho,
+         "total_error": result.objective.total_error}
         for s in sets
     ]
-    params = {
-        "graph": args.graph,
-        "m": args.m,
-        "mode": args.mode,
-        "k": args.k,
-        "method": args.method,
-        "topology": args.topology,
-        "sigma": args.sigma,
-        "budget": args.budget,
-        "index_base": base,
-    }
-    _emit(args, "select", params, g, payload, csv_rows, started)
-    return EXIT_OK
+    return g, payload, rows
 
 
 def _read_pair_list(path_arg):
@@ -239,7 +257,7 @@ def _read_pair_list(path_arg):
     return pairs
 
 
-def _cmd_pairs(args, started):
+def _cmd_pairs(args):
     g = _load_graph(args.graph)
     pairs = _read_pair_list(args.pair_list) if args.pair_list else None
     sweep = pairwise_sweep(g, pairs, budget=args.budget)
@@ -255,97 +273,51 @@ def _cmd_pairs(args, started):
         "max_rho": float(sweep.rho.max()),
         "argmax_pairs": [[_shift(i, base), _shift(j, base)] for i, j in sweep.argmax_pairs()],
     }
-    csv_rows = [["i", "j", "rho"]] + [[r["i"], r["j"], repr(r["rho"])] for r in rows]
-    params = {
-        "graph": args.graph,
-        "bins": args.bins,
-        "pair_list": args.pair_list,
-        "budget": args.budget,
-        "index_base": base,
-    }
-    _emit(args, "pairs", params, g, payload, csv_rows, started)
-    return EXIT_OK
+    return g, payload, rows
 
 
-def _cmd_verify(args, started):
-    k_values = args.k_values or DEFAULT_K_VALUES
+def _cmd_verify(args):
+    g = None
     if args.graph:
         g = _load_graph(args.graph)
-        report = verify_graph(g, label=args.graph, m_max=args.m_max, tol=args.tol, k_values=k_values)
-        graph = g
+        report = verify_graph(g, label=args.graph, m_max=args.m_max, tol=args.tol, k_values=args.k_values)
     elif args.suite == "small":
-        report = verify_small_suite(tol=args.tol, k_values=k_values)
-        graph = None
+        report = verify_small_suite(tol=args.tol, k_values=args.k_values)
     elif args.suite == "random":
         report = verify_random_suite(
-            count=args.count, n_max=args.n_max, seed=args.seed, tol=args.tol, k_values=k_values
+            count=args.count, n_max=args.n_max, seed=args.seed, tol=args.tol, k_values=args.k_values
         )
-        graph = None
     else:
         raise GraphError("verify needs a graph file or --suite {small,random}")
-    base = args.index_base
-    payload = {
+    summary = {
         "checks": report.checks,
         "max_rel_dev_noise_free": report.max_rel_dev_noise_free,
         "max_rel_dev_gain": report.max_rel_dev_gain,
-        "tolerance": report.tolerance,
-        "violations": [
-            {"graph": v.graph_label, "set": [_shift(i, base) for i in v.members], "k": v.k,
-             "rel_dev": v.rel_dev}
-            for v in report.violations
-        ],
     }
-    csv_rows = [["checks", "max_rel_dev_noise_free", "max_rel_dev_gain", "violations"]]
-    csv_rows += [
-        [report.checks, repr(report.max_rel_dev_noise_free), repr(report.max_rel_dev_gain), len(report.violations)]
+    violations = [
+        {"graph": v.graph_label, "set": [_shift(i, args.index_base) for i in v.members], "k": v.k,
+         "rel_dev": v.rel_dev}
+        for v in report.violations
     ]
-    params = {
-        "graph": args.graph,
-        "suite": args.suite,
-        "count": args.count,
-        "n_max": args.n_max,
-        "seed": args.seed,
-        "tol": args.tol,
-        "m_max": args.m_max,
-        "k_values": list(k_values),
-        "index_base": base,
-    }
-    _emit(args, "verify", params, graph, payload, csv_rows, started)
-    if report.violations:
-        first = report.violations[0]
-        print(
-            f"identity violation: graph={first.graph_label} "
-            f"set={tuple(_shift(i, base) for i in first.members)} "
-            f"k={first.k} rel_dev={first.rel_dev:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_IDENTITY
-    return EXIT_OK
+    payload = {**summary, "tolerance": report.tolerance, "violations": violations}
+    rows = [{**summary, "violations": len(violations)}]
+    return g, payload, rows
 
 
-def _cmd_simulate(args, started):
+def _cmd_simulate(args):
     g = _load_graph(args.graph)
     try:
         members = tuple(int(t) for t in args.leaders.split(","))
     except ValueError:
         raise GraphError(f"--leaders must be comma-separated node ids, got {args.leaders!r}") from None
-    mode = _mode_from(args)
-    leaders = LeaderSet(members, mode)
+    leaders = LeaderSet(members, _mode_from(args))
     cfg = SimConfig(
         dt=args.dt, steps=args.steps, burn_in=args.burn_in, sigma=args.sigma, seed=args.seed, mu=args.mu
     )
     result = simulate(g, leaders, cfg)
-    if isinstance(mode, Gain):
-        analytic_nodes = oracle_error_gain(g, leaders, args.sigma).per_node_variance
-    else:
-        analytic_nodes = oracle_error_noise_free(g, leaders, args.sigma).per_node_variance
-    base = args.index_base
     nodes = [
-        {
-            "node": _shift(i, base),
-            "empirical_variance": float(result.empirical_variance[i]),
-            "analytic_variance": float(analytic_nodes[i]),
-        }
+        {"node": _shift(i, args.index_base), "empirical_variance": float(result.empirical_variance[i]),
+         "analytic_variance": float(result.analytic_variance[i])}
         for i in range(g.n)
     ]
     gap = abs(result.empirical_total_error - result.analytic_total_error) / result.analytic_total_error
@@ -357,45 +329,15 @@ def _cmd_simulate(args, started):
         "seed": result.seed_used,
         "nodes": nodes,
     }
-    csv_rows = [["node", "empirical_variance", "analytic_variance"]]
-    csv_rows += [
-        [n["node"], repr(n["empirical_variance"]), repr(n["analytic_variance"])] for n in nodes
-    ]
-    params = {
-        "graph": args.graph,
-        "leaders": args.leaders,
-        "mode": args.mode,
-        "k": args.k,
-        "sigma": args.sigma,
-        "dt": args.dt,
-        "steps": args.steps,
-        "burn_in": args.burn_in,
-        "seed": args.seed,
-        "mu": args.mu,
-        "index_base": base,
-    }
-    _emit(args, "simulate", params, g, payload, csv_rows, started)
-    return EXIT_OK
+    return g, payload, nodes
 
 
-def _cmd_generate(args, started):
-    if args.kind == "cycle":
-        g = cycle(args.n)
-    elif args.kind == "path":
-        g = path(args.n)
-    elif args.kind == "complete":
-        g = complete(args.n)
-    else:
-        if args.p is None:
-            raise GraphError("erdos-renyi requires --p")
-        g = erdos_renyi(args.n, args.p, args.seed)
-    text = serialize_edge_list(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+def _generate(args) -> Graph:
+    if args.kind != "erdos-renyi":
+        return {"cycle": cycle, "path": path, "complete": complete}[args.kind](args.n)
+    if args.p is None:
+        raise GraphError("erdos-renyi requires --p")
+    return erdos_renyi(args.n, args.p, args.seed)
 
 
 def _add_common(sub, sigma=_sigma):
@@ -446,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("small", "random"), default=None)
     p.add_argument("--count", type=int, default=20, help="random-suite graph count")
     p.add_argument("--n-max", type=int, default=10, help="random-suite max node count")
-    p.add_argument("--seed", type=int, default=1, help="random-suite seed")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative tolerance")
+    p.add_argument("--seed", type=_seed, default=1, help="random-suite seed")
+    p.add_argument("--tol", type=_positive_float, default=1e-8, help="relative tolerance")
     p.add_argument("--m-max", type=int, default=3, help="largest leader-set size checked")
-    p.add_argument("--k-values", type=_float_list, default=None,
+    p.add_argument("--k-values", type=_float_list, default=DEFAULT_K_VALUES,
                    help="comma-separated gains (default 0.1,1,10,100)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
@@ -464,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--steps", type=int, default=2_000_000)
     p.add_argument("--burn-in", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mu", type=float, default=0.0, help="external signal value")
     p.set_defaults(func=_cmd_simulate)
 
@@ -472,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("cycle", "path", "complete", "erdos-renyi"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=None, help="edge probability (erdos-renyi)")
-    p.add_argument("--seed", type=int, default=0, help="seed (erdos-renyi)")
+    p.add_argument("--seed", type=_seed, default=0, help="seed (erdos-renyi)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_generate)
 
     return parser
 
@@ -483,19 +425,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        return args.func(args, started)
-    except BudgetError as exc:
+        if args.command == "generate":
+            _write(args, serialize_edge_list(args.func(args)))
+            return EXIT_OK
+        graph, payload, rows = args.func(args)
+        _emit(args, graph, payload, rows, started)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except StabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STABILITY
-    except (GraphError, SpectralError, NumericalDegeneracyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    if payload.get("violations"):
+        first = payload["violations"][0]
+        print(
+            f"identity violation: graph={first['graph']} set={tuple(first['set'])} "
+            f"k={first['k']} rel_dev={first['rel_dev']:.3e}",
+            file=sys.stderr,
+        )
+        return EXIT_IDENTITY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -111,12 +111,14 @@ def _pair_kernel(kernels: GraphKernels, ii, jj, u: float):
     # numpy reuses the temporaries of a whole-graph sweep in place.
     lp, l2p = kernels.lplus, kernels.l2plus
     d, d2 = lp.diagonal(), l2p.diagonal()
-    r = d[ii] + d[jj] - 2.0 * lp[ii, jj]
-    gamma = d2[ii] + d2[jj] - 2.0 * l2p[ii, jj]
-    minor = d[ii] * d[jj] - lp[ii, jj] ** 2
-    n_over_rho = kernels.kirchhoff / kernels.n + (
-        kernels.n * (u * (u + d[ii] + d[jj]) + minor) - gamma
-    ) / (r + 2.0 * u)
+    # A huge u (a tiny gain) overflows to inf or nan, which the check below raises on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = d[ii] + d[jj] - 2.0 * lp[ii, jj]
+        gamma = d2[ii] + d2[jj] - 2.0 * l2p[ii, jj]
+        minor = d[ii] * d[jj] - lp[ii, jj] ** 2
+        n_over_rho = kernels.kirchhoff / kernels.n + (
+            kernels.n * (u * (u + d[ii] + d[jj]) + minor) - gamma
+        ) / (r + 2.0 * u)
     if not np.all(n_over_rho > 0.0) or not np.all(np.isfinite(n_over_rho)):
         raise NumericalDegeneracyError("nonpositive inverse joint centrality of a leader pair")
     return n_over_rho

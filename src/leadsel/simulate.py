@@ -48,8 +48,9 @@ class SimConfig:
             raise GraphError(f"dt must be positive, got {self.dt}")
         if self.steps < 1:
             raise GraphError(f"steps must be positive, got {self.steps}")
-        if self.sigma < 0.0 or not math.isfinite(self.sigma):
-            raise GraphError(f"sigma must be nonnegative, got {self.sigma}")
+        # the variances scale with sigma^2, which must be a finite number
+        if self.sigma < 0.0 or not math.isfinite(self.sigma * self.sigma):
+            raise GraphError(f"sigma must be nonnegative with a finite square, got {self.sigma}")
         if not math.isfinite(self.mu):
             raise GraphError(f"mu must be finite, got {self.mu}")
         if self.burn_in is not None and not 0 <= self.burn_in < self.steps:
@@ -62,9 +63,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
+    """Per-node variances from the trajectory and from the trace oracle."""
+
     empirical_variance: np.ndarray
     empirical_total_error: float
     analytic_total_error: float
+    analytic_variance: np.ndarray
     sample_count: int
     seed_used: int
 
@@ -77,10 +81,8 @@ def simulate(g: Graph, leaders: LeaderSet, cfg: SimConfig) -> SimResult:
     Deterministic for a fixed config.
     """
     sys_mat, active = system_matrix(g, leaders)
-    if isinstance(leaders.mode, NoiseFree):
-        analytic = oracle_error_noise_free(g, leaders, cfg.sigma).total_error
-    else:
-        analytic = oracle_error_gain(g, leaders, cfg.sigma).total_error
+    oracle = oracle_error_noise_free if isinstance(leaders.mode, NoiseFree) else oracle_error_gain
+    analytic = oracle(g, leaders, cfg.sigma)
 
     lam_max = float(np.linalg.eigvalsh(sys_mat)[-1])
     if cfg.dt * lam_max >= 2.0:
@@ -123,7 +125,8 @@ def simulate(g: Graph, leaders: LeaderSet, cfg: SimConfig) -> SimResult:
     return SimResult(
         empirical_variance=per_node,
         empirical_total_error=float(per_node.sum()),
-        analytic_total_error=analytic,
+        analytic_total_error=analytic.total_error,
+        analytic_variance=analytic.per_node_variance,
         sample_count=samples,
         seed_used=cfg.seed,
     )

@@ -1,7 +1,7 @@
-import numpy as np
 from hypothesis import strategies as st
 
 from leadsel import Graph
+from leadsel.graphs import DisconnectedGraphError, _gnp_edges
 
 
 def rel_dev(a, b):
@@ -43,14 +43,7 @@ def connected_graphs(draw, n_max=10, weighted=True):
 def seeded_random_graph(rng, n, p=0.5, weighted=False):
     """Connected G(n, p) sample from an existing numpy Generator."""
     while True:
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        keep = rng.random(len(pairs)) < p
-        if weighted:
-            w = rng.uniform(0.5, 2.0, size=len(pairs))
-            edges = tuple((u, v, float(w[i])) for i, (u, v) in enumerate(pairs) if keep[i])
-        else:
-            edges = tuple(pairs[i] for i in np.flatnonzero(keep))
         try:
-            return Graph(n, edges)
-        except Exception:
+            return Graph(n, _gnp_edges(rng, n, p, weighted))
+        except DisconnectedGraphError:
             continue

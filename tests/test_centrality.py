@@ -13,7 +13,7 @@ from leadsel import (
     resistance_matrix,
 )
 
-from conftest import max_triangle_violation, seeded_random_graph
+from conftest import max_triangle_violation, rel_dev, seeded_random_graph
 
 
 def spectral_distance(kernels, power):
@@ -133,3 +133,28 @@ def test_report_bundles_everything():
     assert rep.resistance.shape == (5, 5)
     assert rep.biharmonic.shape == (5, 5)
     assert np.array_equal(rep.certainty_inverse, certainty_inverse(k, 2.0))
+
+
+def test_networkx_cross_check():
+    """information_centrality is normalised by n, and the weights are
+    conductances (invert_weight=False); both hold on weighted graphs."""
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("scipy")  # networkx's Laplacian solvers
+    rng = np.random.default_rng(23)
+    for weighted in (False, True):
+        for n in (5, 9, 13):
+            g = seeded_random_graph(rng, n, weighted=weighted)
+            graph = nx.Graph()
+            graph.add_nodes_from(range(n))
+            graph.add_weighted_edges_from(g.edges)
+            k = compute_kernels(g)
+            c = info_centrality(k)
+            r = resistance_matrix(k)
+            ic = nx.information_centrality(graph, weight="weight")
+            for i in range(n):
+                assert rel_dev(n * ic[i], c[i]) < 1e-10
+                for j in range(i + 1, n):
+                    dist = nx.resistance_distance(graph, i, j, weight="weight", invert_weight=False)
+                    assert rel_dev(dist, r[i, j]) < 1e-10
+            kf = nx.effective_graph_resistance(graph, weight="weight", invert_weight=False)
+            assert rel_dev(kf, k.kirchhoff) < 1e-10

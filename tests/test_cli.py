@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from leadsel import parse_edge_list
-from leadsel.cli import main
+from leadsel.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -57,17 +61,66 @@ def test_centrality_json_max_at_middle(path9, capsys):
     assert "timing_seconds" in report
 
 
-def test_centrality_csv_matches_json(path9, capsys):
-    report = run_json(capsys, "centrality", path9)
-    code, out, _ = run(capsys, "centrality", path9, "--format", "csv")
+def _csv_rows(command, payload):
+    """The rows a CSV report must carry, taken from the JSON payload."""
+    if command == "select":
+        return [{"optimal_set": " ".join(str(v) for v in s), "rho": payload["rho"],
+                 "total_error": payload["total_error"]} for s in payload["optimal_sets"]]
+    if command == "verify":
+        return [{"checks": payload["checks"], "max_rel_dev_noise_free": payload["max_rel_dev_noise_free"],
+                 "max_rel_dev_gain": payload["max_rel_dev_gain"], "violations": len(payload["violations"])}]
+    return payload["pairs" if command == "pairs" else "nodes"]
+
+
+@pytest.mark.parametrize("argv, header, count", [
+    pytest.param(["centrality"], "node,info_centrality,lplus_diag,certainty_inverse", 6,
+                 id="centrality"),
+    pytest.param(["select", "--m", "3"], "optimal_set,rho,total_error", 2, id="select"),
+    pytest.param(["pairs"], "i,j,rho", 15, id="pairs"),
+    pytest.param(["verify"], "checks,max_rel_dev_noise_free,max_rel_dev_gain,violations", 1,
+                 id="verify"),
+    pytest.param(["simulate", "--leaders", "0,3", "--steps", "2000"],
+                 "node,empirical_variance,analytic_variance", 6, id="simulate"),
+])
+def test_csv_matches_json(cycle6, capsys, argv, header, count):
+    report = run_json(capsys, argv[0], cycle6, *argv[1:], "--index-base", "1")
+    code, out, _ = run(capsys, argv[0], cycle6, *argv[1:], "--index-base", "1", "--format", "csv")
     assert code == 0
-    lines = [l for l in out.split("\r\n") if l]
-    assert lines[0] == "node,info_centrality,lplus_diag,certainty_inverse"
-    for row, node in zip(lines[1:], report["payload"]["nodes"]):
-        fields = row.split(",")
-        assert int(fields[0]) == node["node"]
-        assert float(fields[1]) == node["info_centrality"]  # identical numbers
-        assert float(fields[2]) == node["lplus_diag"]
+    lines = out.split("\r\n")
+    assert lines[0] == header and lines[-1] == ""
+    want = _csv_rows(argv[0], report["payload"])
+    assert len(want) == len(lines) - 2 == count
+    for line, row in zip(lines[1:], want):
+        fields = dict(zip(header.split(","), line.split(",")))
+        assert fields.keys() == row.keys()
+        # each field read back as the type of its JSON value: identical numbers
+        assert {key: type(row[key])(field) for key, field in fields.items()} == row
+
+
+@pytest.mark.parametrize("argv, options", [
+    pytest.param(["centrality", "--sigma", "0.5", "--full"],
+                 {"graph", "sigma", "full", "index_base"}, id="centrality"),
+    pytest.param(["select", "--m", "2", "--mode", "gain", "--k", "2"],
+                 {"graph", "m", "mode", "k", "method", "topology", "sigma", "budget", "index_base"},
+                 id="select"),
+    pytest.param(["pairs", "--bins", "4"],
+                 {"graph", "bins", "pair_list", "budget", "index_base"}, id="pairs"),
+    pytest.param(["verify", "--m-max", "2"],
+                 {"graph", "suite", "count", "n_max", "seed", "tol", "m_max", "k_values", "index_base"},
+                 id="verify"),
+    pytest.param(["simulate", "--leaders", "0", "--steps", "500", "--burn-in", "50"],
+                 {"graph", "leaders", "mode", "k", "sigma", "dt", "steps", "burn_in", "seed", "mu",
+                  "index_base"}, id="simulate"),
+])
+def test_parameters_echo_parsed_options(cycle6, capsys, argv, options):
+    argv = [argv[0], cycle6, *argv[1:]]
+    report = run_json(capsys, *argv)
+    parsed = vars(build_parser().parse_args(argv))
+    assert set(report["parameters"]) == options
+    for key in options:
+        assert report["parameters"][key] == json.loads(json.dumps(parsed[key]))
+    if argv[0] == "verify":
+        assert report["parameters"]["k_values"] == [0.1, 1.0, 10.0, 100.0]
 
 
 def test_centrality_full_matrices(path9, capsys):
@@ -311,10 +364,12 @@ def test_centrality_single_node_exit_2(tmp_path, capsys):
     assert input_error(capsys, "centrality", str(target)) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_select_degenerate_gain_exit_2(cycle6, capsys):
     # k = 1e-300 overflows 1/k, so the pair formula has no finite value
     argv = ["select", cycle6, "--m", "2", "--mode", "gain", "--k", "1e-300"]
     assert input_error(capsys, *argv) == 2
+    assert input_error(capsys, "verify", cycle6, "--k-values", "1e-300") == 2
 
 
 def test_verify_random_suite_empty_range_exit_2(capsys):
@@ -335,3 +390,126 @@ def test_verify_index_base_one_shifts_violation_sets(cycle6, capsys):
 def test_pairs_sigma_option_removed(cycle6, capsys):
     # the pair sweep reports rho, which does not depend on sigma
     assert input_error(capsys, "pairs", cycle6, "--sigma", "1") == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("generate", "erdos-renyi", "--n", "6", "--p", "0.5"),
+    ("verify", "--suite", "random", "--count", "2", "--n-max", "5"),
+    ("simulate", "@cycle6", "--leaders", "0", "--steps", "100"),
+], ids=lambda command: command[0])
+def test_negative_seed_exit_2(cycle6, capsys, command):
+    # numpy's generators reject negative seeds
+    argv = [cycle6 if a == "@cycle6" else a for a in command]
+    assert input_error(capsys, *argv, "--seed", "-1") == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_tol_must_be_finite_and_positive(cycle6, capsys, tol):
+    assert input_error(capsys, "verify", cycle6, "--tol", tol) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("select", "--m", "2"), ("simulate", "--leaders", "0", "--steps", "100"),
+], ids=lambda command: command[0])
+def test_sigma_squaring_to_zero_exit_2(cycle6, capsys, command):
+    # sigma^2 underflows to 0, and the error with it
+    assert input_error(capsys, command[0], cycle6, *command[1:], "--sigma", "1e-200") == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", [
+    pytest.param(("centrality", "--sigma", "1e200"), id="centrality-sigma"),
+    pytest.param(("select", "--m", "2", "--sigma", "1e200"), id="select-sigma"),
+    pytest.param(("simulate", "--leaders", "0", "--steps", "100", "--sigma", "1e200"), id="simulate-sigma"),
+    # --k is echoed in noise-free mode too, which does not read it
+    pytest.param(("select", "--m", "2", "--k", "inf"), id="select-k"),
+])
+def test_nonfinite_report_is_not_written(cycle6, capsys, command, fmt):
+    argv = [command[0], cycle6, *command[1:], "--format", fmt]
+    assert input_error(capsys, *argv) == 2
+
+
+# Special values, then bounded draws; the options are given as --opt=value so
+# that a value starting with '-' still reaches the option's own check.
+FLOATS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e-200", "1e200", "1e300", "0.5", "2"]),
+    st.floats(min_value=0.01, max_value=5.0).map(repr),
+    st.floats(min_value=-5.0, max_value=5.0).map(repr),
+)
+
+
+def ints(low, high):
+    return st.integers(min_value=low, max_value=high).map(str)
+
+
+def options(required=None, **optional):
+    """The required options and any of the optional ones, as --name=value or,
+    for a None value, a bare --name. Every option that sets an amount of work
+    is required, so that no draw falls back to a costly default."""
+    return st.fixed_dictionaries(required or {}, optional=optional).map(lambda drawn: [
+        f"--{name.replace('_', '-')}" + ("" if value is None else f"={value}")
+        for name, value in drawn.items()
+    ])
+
+
+COMMON = {"format": st.sampled_from(["json", "csv"]), "index_base": ints(-1, 2)}
+MODE = {"mode": st.sampled_from(["noise-free", "gain"]), "k": FLOATS}
+GRAPHS = ("cycle6", "path5", "weighted4", "two", "one", "bad")
+
+COMMANDS = st.one_of(
+    st.tuples(st.just("centrality"), st.sampled_from(GRAPHS),
+              options(**COMMON, sigma=FLOATS, full=st.none())),
+    st.tuples(st.just("select"), st.sampled_from(GRAPHS),
+              options({"m": ints(-1, 6)}, **COMMON, **MODE, sigma=FLOATS, budget=ints(-1, 40),
+                      method=st.sampled_from(["exhaustive", "greedy", "closed-form"]),
+                      topology=st.sampled_from(["cycle", "path"]))),
+    st.tuples(st.just("pairs"), st.sampled_from(GRAPHS),
+              options(**COMMON, bins=ints(-1, 64), budget=ints(-1, 40))),
+    st.tuples(st.just("verify"), st.sampled_from(GRAPHS + ("--suite=random",)),
+              options({"count": ints(-1, 3), "n_max": ints(-1, 8)}, **COMMON, seed=ints(-2, 5),
+                      tol=FLOATS, m_max=ints(-1, 3),
+                      k_values=st.lists(FLOATS, min_size=1, max_size=3).map(",".join))),
+    st.tuples(st.just("simulate"), st.sampled_from(GRAPHS),
+              options({"steps": ints(-1, 2000),
+                       "leaders": st.sampled_from(["0", "0,3", "1", "2,4", "1,1", "9", "-1", "x"])},
+                      **COMMON, **MODE, sigma=FLOATS, dt=FLOATS, burn_in=ints(-1, 2000),
+                      seed=ints(-2, 5), mu=FLOATS)),
+    st.tuples(st.just("generate"), st.sampled_from(["cycle", "path", "complete", "erdos-renyi"]),
+              options({"n": ints(-1, 30)}, p=FLOATS, seed=ints(-2, 5))),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_graphs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {"cycle6": "0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n", "path5": "0 1\n1 2\n2 3\n3 4\n",
+             "weighted4": "0 1 0.5\n1 2 3\n2 3 1e-3\n0 2 2\n", "two": "0 1\n", "one": "n=1\n",
+             "bad": "0 1\n0 0\n"}
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return {name: str(root / name) for name in texts}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, deadline=None, max_examples=1000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=COMMANDS)
+def test_cli_arguments_end_in_documented_exit_codes(fuzz_graphs, command):
+    name, target, opts = command
+    argv = [name, fuzz_graphs.get(target, target), *opts]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument
+            assert exc.code == 2
+            return
+    assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
+    if code in {2, 3, 5}:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    elif name != "generate" and "--format=csv" not in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

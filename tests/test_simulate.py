@@ -8,11 +8,14 @@ from leadsel import (
     SimConfig,
     StabilityError,
     complete,
+    NOISE_FREE,
     cycle,
+    oracle_error_gain,
+    oracle_error_noise_free,
     simulate,
 )
 
-from conftest import rel_dev
+from conftest import rel_dev, seeded_random_graph
 
 
 def test_same_seed_bit_identical():
@@ -84,3 +87,21 @@ def test_variance_respects_cycle_mirror_symmetry():
     for i, j in ((1, 5), (2, 4)):
         se = (v[i] + v[j]) * np.sqrt(2.0 / n_eff)
         assert abs(v[i] - v[j]) < 3.0 * se
+
+
+@pytest.mark.parametrize("mode", [NOISE_FREE, Gain(0.7)], ids=["noise-free", "gain"])
+def test_analytic_variance_is_the_oracle_diagonal(mode):
+    g = seeded_random_graph(np.random.default_rng(17), 8, weighted=True)
+    leaders = LeaderSet((1, 5), mode)
+    res = simulate(g, leaders, SimConfig(dt=0.01, steps=200, sigma=0.6, seed=3))
+    oracle = oracle_error_gain if isinstance(mode, Gain) else oracle_error_noise_free
+    want = oracle(g, leaders, 0.6)
+    assert np.array_equal(res.analytic_variance, want.per_node_variance)
+    assert res.analytic_total_error == want.total_error
+
+
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf"), 1e200])
+def test_sigma_must_have_a_finite_square(sigma):
+    # the variances scale with sigma^2; 1e200 squares to inf
+    with pytest.raises(GraphError):
+        SimConfig(dt=0.01, steps=100, sigma=sigma)
