@@ -31,6 +31,15 @@ def biharmonic_matrix(kernels: GraphKernels) -> np.ndarray:
     return _distance_from(kernels.l2plus)
 
 
+def inverse_info_centrality(kernels: GraphKernels) -> np.ndarray:
+    """1 / c_i = L+[i, i] + K_f / n^2 for every node i.
+
+    n / c_i is the trace of the inverse Laplacian grounded at i, the
+    single-leader error.
+    """
+    return np.diag(kernels.lplus) + kernels.kirchhoff / kernels.n**2
+
+
 def info_centrality(kernels: GraphKernels) -> np.ndarray:
     """Information centrality c_i = n / sum_j r[i, j].
 
@@ -40,8 +49,7 @@ def info_centrality(kernels: GraphKernels) -> np.ndarray:
     """
     if kernels.n < 2:
         raise GraphError("information centrality needs at least two nodes")
-    rowsum = resistance_matrix(kernels).sum(axis=1)
-    return kernels.n / rowsum
+    return 1.0 / inverse_info_centrality(kernels)
 
 
 def certainty_inverse(kernels: GraphKernels, sigma: float = 1.0) -> np.ndarray:

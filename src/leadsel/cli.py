@@ -386,11 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="check rho-implied errors against the trace oracles")
     p.add_argument("graph", nargs="?", default=None, help="edge-list file")
     p.add_argument("--suite", choices=("small", "random"), default=None)
-    p.add_argument("--count", type=int, default=20, help="random-suite graph count")
+    p.add_argument("--count", type=_positive_int, default=20, help="random-suite graph count")
     p.add_argument("--n-max", type=int, default=10, help="random-suite max node count")
     p.add_argument("--seed", type=_seed, default=1, help="random-suite seed")
     p.add_argument("--tol", type=_positive_float, default=1e-8, help="relative tolerance")
-    p.add_argument("--m-max", type=int, default=3, help="largest leader-set size checked")
+    p.add_argument("--m-max", type=_positive_int, default=3, help="largest leader-set size checked")
     p.add_argument("--k-values", type=_float_list, default=DEFAULT_K_VALUES,
                    help="comma-separated gains (default 0.1,1,10,100)")
     p.add_argument("--format", choices=("json", "csv"), default="json")

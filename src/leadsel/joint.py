@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Gain, GraphError, LeaderSet, NoiseFree
+from .centrality import inverse_info_centrality
+from .graphs import Gain, GraphError, LeaderSet, NOISE_FREE
 from .kernels import GraphKernels
 
 # |det| below this fraction of its Hadamard bound marks a suspect product
@@ -156,22 +157,13 @@ def joint_centrality_two_gain(
     return _pair_result(kernels, s1, s2, 1.0 / k, sigma)
 
 
-def single_leader_error(kernels: GraphKernels, s: int, mode=None, sigma: float = 1.0) -> float:
+def single_leader_error(kernels: GraphKernels, s: int, mode=NOISE_FREE, sigma: float = 1.0) -> float:
     """Total tracking error with a single leader s.
 
     Noise-free: (n sigma^2 / 2) / c_s. Finite gain k:
     (n sigma^2 / 2) (1/k + 1/c_s). Either way the best single leader is the
     node with maximal information centrality.
     """
-    (s,) = LeaderSet((s,)).check_against(kernels.n).members
-    if mode is None:
-        mode = NoiseFree()
-    lp = kernels.lplus
-    row_r = lp[s, s] + np.diag(lp) - 2.0 * lp[:, s]
-    inv_c = float(row_r.sum()) / kernels.n  # 1/c_s
-    half_n_sigma2 = 0.5 * kernels.n * sigma * sigma
-    if isinstance(mode, NoiseFree):
-        return float(half_n_sigma2 * inv_c)
-    if isinstance(mode, Gain):
-        return float(half_n_sigma2 * (1.0 / mode.k + inv_c))
-    raise GraphError(f"mode must be NoiseFree or Gain, got {mode!r}")
+    (s,) = LeaderSet((s,), mode).check_against(kernels.n).members
+    u = 1.0 / mode.k if isinstance(mode, Gain) else 0.0
+    return float(0.5 * kernels.n * sigma * sigma * (u + inverse_info_centrality(kernels)[s]))

@@ -1,8 +1,8 @@
-"""Eigendecomposition kernels of the Laplacian and total-system-error oracles.
+"""Pseudoinverse kernels of the Laplacian and total-system-error oracles.
 
 ``compute_kernels`` produces the pseudoinverse L+, the squared-Laplacian
-pseudoinverse (L^2)+ = (L+)^2 and the Kirchhoff index from one symmetric
-eigendecomposition. The two oracle functions compute the steady-state
+pseudoinverse (L^2)+ = (L+)^2 and the Kirchhoff index from one grounded
+Laplacian inverse. The two oracle functions compute the steady-state
 tracking error of the leader-follower consensus dynamics by dense symmetric
 factorization, deliberately not reusing any of the closed-form centrality
 machinery, so they can serve as an independent check on it.
@@ -19,54 +19,49 @@ from .graphs import Gain, Graph, GraphError, LeaderSet, NoiseFree, laplacian
 
 
 class SpectralError(RuntimeError):
-    """Eigendecomposition failed or the spectrum contradicts connectivity."""
+    """A factorization failed or the graph is too ill-conditioned to trust."""
 
 
 @dataclass(frozen=True)
 class GraphKernels:
-    """Precomputed spectral quantities of one graph.
+    """Precomputed Laplacian pseudoinverses of one graph.
 
-    eigenvalues are ascending (first one is the zero mode); eigenvectors are
-    orthonormal columns; kirchhoff is the Kirchhoff index K_f = n * tr(L+).
+    lplus is L+, l2plus is (L^2)+ and kirchhoff is the Kirchhoff index
+    K_f = n * tr(L+).
     """
 
     n: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     lplus: np.ndarray
     l2plus: np.ndarray
     kirchhoff: float
 
 
 def compute_kernels(g: Graph) -> GraphKernels:
-    """Eigendecompose the Laplacian and assemble L+, (L^2)+ and K_f.
+    """Assemble L+, (L^2)+ and K_f from one inverse of the grounded Laplacian.
 
-    The zero eigenvalue is identified by the relative cutoff
-    n * eps * lambda_max; exactly one eigenvalue may fall below it, otherwise
-    the graph is numerically disconnected and SpectralError is raised.
+    N, the inverse of L grounded at node 0 padded with a zero row and column,
+    gives L+ = P N P with P = I - J/n. SpectralError is raised when the
+    Cholesky test fails, or when lambda_2 >= 1 / ||L+||_F (||L+||_F^2 =
+    tr (L^2)+) is not certified above the zero-mode cutoff
+    n * eps * max(lambda_max, 1), with lambda_max <= twice the largest degree.
     """
-    lap = laplacian(g)
-    try:
-        lam, vec = np.linalg.eigh(lap)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigendecomposition failed: {exc}") from exc
-    if g.n == 1:
-        zero = np.zeros((1, 1))
-        return GraphKernels(1, lam, vec, zero, zero.copy(), 0.0)
-    cutoff = g.n * np.finfo(float).eps * max(lam[-1], 1.0)
-    n_zero = int(np.sum(lam <= cutoff))
-    if n_zero != 1:
-        raise SpectralError(
-            f"expected exactly one zero eigenvalue, found {n_zero} below {cutoff:.3e} "
-            "(graph disconnected or ill-conditioned)"
-        )
-    tail = vec[:, 1:]
-    lplus = (tail / lam[1:]) @ tail.T
+    n = g.n
+    if n == 1:
+        return GraphKernels(1, np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
+    grounded, _ = system_matrix(g, LeaderSet((0,)))
+    padded = np.zeros((n, n))
+    padded[1:, 1:] = spd_inverse(grounded, "grounded Laplacian")
+    lplus = padded - padded.mean(axis=1)[:, None] - padded.mean(axis=0)[None, :] + padded.mean()
     lplus = (lplus + lplus.T) / 2.0
     l2plus = lplus @ lplus
     l2plus = (l2plus + l2plus.T) / 2.0
-    kirchhoff = g.n * float(np.trace(lplus))
-    return GraphKernels(g.n, lam, vec, lplus, l2plus, kirchhoff)
+    max_degree = max(np.diag(grounded).max(), sum(w for u, v, w in g.edges if 0 in (u, v)))
+    cutoff = n * np.finfo(float).eps * max(2.0 * max_degree, 1.0)
+    if not 1.0 / np.sqrt(np.trace(l2plus)) > cutoff:
+        raise SpectralError(f"lambda_2 is not certified above the zero-mode cutoff {cutoff:.3e} "
+                            "(graph ill-conditioned)")
+    kirchhoff = n * float(np.trace(lplus))
+    return GraphKernels(n, lplus, l2plus, kirchhoff)
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,8 @@ def system_matrix(g: Graph, leaders: LeaderSet):
     leaders.check_against(g.n)
     mat = laplacian(g)
     if isinstance(leaders.mode, NoiseFree):
-        nodes = np.setdiff1d(np.arange(g.n), leaders.members)
+        # np.delete, unlike np.setdiff1d, does not import numpy.ma, which slows a cold CLI start
+        nodes = np.delete(np.arange(g.n), leaders.members)
         return mat[np.ix_(nodes, nodes)], nodes
     members = list(leaders.members)
     mat[members, members] += leaders.mode.k

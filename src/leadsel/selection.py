@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graphs
+from .centrality import inverse_info_centrality
 from .graphs import Gain, Graph, GraphError, LeaderSet, NOISE_FREE, NoiseFree
 from .joint import _pair_kernel, joint_centrality, single_leader_error
 from .kernels import (
@@ -163,10 +164,9 @@ def _first_near_min(values) -> int:
 def greedy_select(g: Graph, m: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> SelectionResult:
     """Grow the leader set one node at a time, taking the largest error drop.
 
-    The first pick is the most central node: one inverse B0 of the Laplacian
-    grounded at node 0 gives every single-leader trace
-    tr B0 + n B0[v, v] - 2 sum_i B0[i, v] (plus n/k with gain k). After that
-    one inverse B of the system matrix is kept up to date by rank one
+    The first pick is the most central node: the single-leader trace is
+    n / c_v (plus n/k with gain k), read from the kernels. After that one
+    inverse B of the system matrix is kept up to date by rank one
     (Lin, Fardad & Jovanovic, IEEE TAC 2014), scoring all candidates j at
     once. Noise-free: pinning j drops the trace by ||B[:, j]||^2 / B[j, j],
     and B loses row and column j. Gain k: adding k at j drops it by
@@ -178,9 +178,7 @@ def greedy_select(g: Graph, m: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> S
         raise GraphError(f"need 1 <= m < n, got m={m}, n={g.n}")
     n = g.n
     k = mode.k if isinstance(mode, Gain) else None
-    b0 = np.zeros((n, n))
-    b0[1:, 1:] = spd_inverse(system_matrix(g, LeaderSet((0,)))[0], "grounded Laplacian")
-    traces = np.trace(b0) + n * np.diag(b0) - 2.0 * b0.sum(axis=0)
+    traces = n * inverse_info_centrality(compute_kernels(g))
     if k is not None:
         traces += n / k
     best = _first_near_min(traces)
@@ -321,13 +319,15 @@ class PairSweep:
         """(counts, bin_edges) of the rho values.
 
         A degenerate (single-valued) distribution gets a padded range so the
-        histogram still has well-formed bins with one of them occupied.
+        histogram still has well-formed bins with one of them occupied: the
+        value sits in the middle of bin bins // 2, away from any bin edge.
         """
         span = float(np.ptp(self.rho))
         if span <= abs(float(self.rho.max())) * 1e-12:
             center = float(self.rho.mean())
-            pad = max(abs(center), 1.0) * 1e-6
-            return np.histogram(self.rho, bins=bins, range=(center - pad, center + pad))
+            width = max(abs(center), 1.0) * 2e-6 / bins
+            low = center - (bins // 2 + 0.5) * width
+            return np.histogram(self.rho, bins=bins, range=(low, low + bins * width))
         return np.histogram(self.rho, bins=bins)
 
     def argmax_pairs(self, tie_tol: float = TIE_TOL):

@@ -95,7 +95,7 @@ def simulate(g: Graph, leaders: LeaderSet, cfg: SimConfig) -> SimResult:
 
     dim = len(active)
     propagator = np.eye(dim) - cfg.dt * sys_mat
-    noise_scale = cfg.sigma * math.sqrt(cfg.dt)
+    noise_scale = math.sqrt(cfg.dt)  # unit sigma; the variances are scaled by sigma^2 at the end
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     x = np.zeros(dim)  # deviation from mu
     sumsq = np.zeros(dim)
@@ -121,10 +121,13 @@ def simulate(g: Graph, leaders: LeaderSet, cfg: SimConfig) -> SimResult:
 
     samples = cfg.steps - burn
     per_node = np.zeros(g.n)
-    per_node[active] = sumsq / samples
+    # a sigma^2 near the float limit overflows to inf here, which a report refuses to emit
+    with np.errstate(over="ignore"):
+        per_node[active] = sumsq / samples * (cfg.sigma * cfg.sigma)
+        total = float(per_node.sum())
     return SimResult(
         empirical_variance=per_node,
-        empirical_total_error=float(per_node.sum()),
+        empirical_total_error=total,
         analytic_total_error=analytic.total_error,
         analytic_variance=analytic.per_node_variance,
         sample_count=samples,

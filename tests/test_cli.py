@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -364,12 +365,34 @@ def test_centrality_single_node_exit_2(tmp_path, capsys):
     assert input_error(capsys, "centrality", str(target)) == 2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_select_degenerate_gain_exit_2(cycle6, capsys):
     # k = 1e-300 overflows 1/k, so the pair formula has no finite value
     argv = ["select", cycle6, "--m", "2", "--mode", "gain", "--k", "1e-300"]
     assert input_error(capsys, *argv) == 2
     assert input_error(capsys, "verify", cycle6, "--k-values", "1e-300") == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_verify_nonpositive_count_or_m_max_exit_2(cycle6, capsys, value):
+    # a verification that checks nothing must not report success
+    assert input_error(capsys, "verify", "--suite", "random", f"--count={value}") == 2
+    assert input_error(capsys, "verify", cycle6, f"--m-max={value}") == 2
+
+
+@pytest.mark.parametrize("weight", ["1e16", "1e100", "1e300"])
+def test_centrality_heavy_edge_cycle_exit_2(tmp_path, capsys, weight):
+    target = tmp_path / "heavy.edges"
+    target.write_text(f"n=5\n0 1 {weight}\n1 2\n2 3\n3 4\n0 4\n")
+    assert input_error(capsys, "centrality", str(target)) == 2
+
+
+def test_simulate_huge_sigma_is_finite(cycle6, capsys):
+    # sigma^2 is finite, but the square of a sigma-scaled state would overflow
+    argv = ["simulate", cycle6, "--leaders", "0", "--steps", "1000", "--sigma", "1e153"]
+    payload = run_json(capsys, *argv)["payload"]
+    variances = [n["empirical_variance"] for n in payload["nodes"]]
+    assert all(math.isfinite(v) for v in variances + [payload["empirical_total_error"]])
+    assert payload["empirical_total_error"] > 1e300
 
 
 def test_verify_random_suite_empty_range_exit_2(capsys):
@@ -494,7 +517,6 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, deadline=None, max_examples=1000,
           suppress_health_check=[HealthCheck.too_slow])
 @given(command=COMMANDS)

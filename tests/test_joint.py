@@ -65,6 +65,12 @@ def test_single_member_reduces_to_info_centrality():
         assert rel_dev(res.implied_total_error, single_leader_error(k, s)) < 1e-12
 
 
+def test_single_leader_error_one_node_gain():
+    # the lone node leads itself: error sigma^2 / (2k)
+    k = compute_kernels(Graph(1, ()))
+    assert single_leader_error(k, 0, Gain(4.0), sigma=3.0) == 9.0 / 8.0
+
+
 def _compact_form_n_over_rho(k, members):
     """The paper's compact form of n / rho, built here from the kernels.
 

@@ -56,7 +56,7 @@ def test_kernel_identities():
         assert np.abs(k.lplus @ np.ones(n)).max() < tol
         assert np.abs(np.ones(n) @ k.lplus).max() < tol
         assert abs(np.trace(k.lplus) - k.kirchhoff / n) < tol
-        assert k.eigenvalues[0] < 1e-10 and k.eigenvalues[1] > 1e-10
+        assert np.abs(k.lplus - np.linalg.pinv(lap)).max() < tol
         # (L^2)+ built as (L+)^2 vs an independent Moore-Penrose route
         assert np.abs(k.l2plus - np.linalg.pinv(lap @ lap)).max() < 1e-8
 
@@ -158,6 +158,15 @@ def test_spd_inverse_rejects_singular_laplacian():
     # the ungrounded Laplacian has the zero mode 1, so it is not positive definite
     with pytest.raises(SpectralError, match="singular"):
         spd_inverse(laplacian(cycle(5)), "Laplacian")
+
+
+@pytest.mark.parametrize("weight", [1e16, 1e100, 1e300])
+def test_heavy_edge_cycle_rejected(weight):
+    # lambda_max ~ 2 weight puts the zero-mode cutoff above lambda_2 ~ 1.4;
+    # the grounded inverse alone factors the 1e100 case without complaint
+    g = Graph(5, ((0, 1, weight), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 1.0)))
+    with pytest.raises(SpectralError):
+        compute_kernels(g)
 
 
 def test_package_and_cli_import_without_scipy():

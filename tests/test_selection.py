@@ -223,6 +223,18 @@ def test_pairwise_sweep_complete_is_single_valued():
     assert counts.sum() == 6
 
 
+@pytest.mark.parametrize("bins", [10, 16])
+@pytest.mark.parametrize("n", [12, 30])
+def test_degenerate_histogram_has_one_bin(n, bins):
+    # an even bin count must not put the single value on a bin edge
+    sweep = pairwise_sweep(complete(n))
+    counts, edges = sweep.histogram(bins)
+    occupied = np.flatnonzero(counts)
+    assert occupied.size == 1
+    i = occupied[0]
+    assert np.all((edges[i] <= sweep.rho) & (sweep.rho <= edges[i + 1]))
+
+
 def test_pairwise_sweep_row_count_and_restriction():
     g = cycle(7)
     assert len(pairwise_sweep(g).pairs) == 21
