@@ -19,6 +19,10 @@ print("  per-node empirical variance:", res.empirical_variance)
 print(f"  total: empirical {res.empirical_total_error:.4f}"
       f"  analytic {res.analytic_total_error:.4f}"
       f"  ({res.sample_count} samples)")
+# the gap is read against the scheme's own bias and the sampling error
+print(f"  gap {res.empirical_total_error - res.analytic_total_error:+.4f}:"
+      f" expected {res.discretization_bias:+.4f} (discretization bias),"
+      f" Monte-Carlo standard error {res.mc_standard_error:.4f}")
 print()
 
 # Finite-gain leader on a complete graph; analytic total is 13/6.

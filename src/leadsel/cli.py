@@ -325,6 +325,8 @@ def _cmd_simulate(args):
         "empirical_total_error": result.empirical_total_error,
         "analytic_total_error": result.analytic_total_error,
         "relative_gap": gap,
+        "discretization_bias": result.discretization_bias,
+        "mc_standard_error": result.mc_standard_error,
         "sample_count": result.sample_count,
         "seed": result.seed_used,
         "nodes": nodes,

@@ -123,8 +123,11 @@ def oracle_error_noise_free(g: Graph, leaders: LeaderSet, sigma: float = 1.0) ->
     sub, followers = system_matrix(g, leaders)
     inv = spd_inverse(sub, "grounded Laplacian")
     var = np.zeros(g.n)
-    var[followers] = 0.5 * sigma * sigma * np.diag(inv)
-    return ErrorReport(float(var.sum()), var, sigma)
+    # a finite sigma^2 can still overflow the sum to inf, which a report refuses to emit
+    with np.errstate(over="ignore"):
+        var[followers] = 0.5 * sigma * sigma * np.diag(inv)
+        total = float(var.sum())
+    return ErrorReport(total, var, sigma)
 
 
 def oracle_error_gain(g: Graph, leaders: LeaderSet, sigma: float = 1.0) -> ErrorReport:
@@ -136,8 +139,10 @@ def oracle_error_gain(g: Graph, leaders: LeaderSet, sigma: float = 1.0) -> Error
     _check_mode(leaders, Gain)
     mat, _ = system_matrix(g, leaders)
     inv = spd_inverse(mat, "L + K")
-    var = 0.5 * sigma * sigma * np.diag(inv).copy()
-    return ErrorReport(float(var.sum()), var, sigma)
+    with np.errstate(over="ignore"):
+        var = 0.5 * sigma * sigma * np.diag(inv).copy()
+        total = float(var.sum())
+    return ErrorReport(total, var, sigma)
 
 
 def per_node_variance_spectral(g: Graph, leaders: LeaderSet, sigma: float = 1.0) -> np.ndarray:

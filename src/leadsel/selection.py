@@ -192,7 +192,7 @@ def greedy_select(g: Graph, m: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> S
             cand = np.arange(len(nodes))
             drops = col_sq / diag
         else:
-            cand = np.setdiff1d(nodes, leaders)
+            cand = np.delete(nodes, leaders)  # nodes is arange(n) in gain mode
             drops = k * col_sq[cand] / (1.0 + k * diag[cand])
         traces = np.trace(b) - drops
         best = _first_near_min(traces)

@@ -7,6 +7,17 @@ Laplacian. Variances are accumulated about the known signal mu, so no mean
 estimation enters. The noise source is the counter-based Philox generator
 from numpy with Gaussian variates via Generator.standard_normal; for a fixed
 seed and numpy version results are bit-reproducible.
+
+The scheme x <- (I - dt M) x + sqrt(dt) xi is run mode by mode. With
+M = V diag(lam) V^T (one eigh per run), y = V^T x is a set of independent
+AR(1) sequences y_t = a * y_{t-1} + eta_t with a = 1 - dt lam and
+eta_t = sqrt(dt) V^T xi_t, the noise rows drawn in the same order as a
+step-by-step loop would draw them. Each block of rows is solved by a
+doubling scan, Y[d:] += a^d Y[:-d] for d = 1, 2, 4, ..., in log2(rows)
+whole-array sweeps, and the last row carries into the next block. The
+sampled rows add Y^T Y to one Gram matrix G, and the per-node sums of
+squares are diag(V G V^T). A block holds _BLOCK_ELEMENTS noise values
+whatever dim is, so transient memory does not grow with steps.
 """
 
 import math
@@ -17,7 +28,8 @@ import numpy as np
 from .graphs import Graph, GraphError, LeaderSet, NoiseFree
 from .kernels import oracle_error_gain, oracle_error_noise_free, system_matrix
 
-_BLOCK = 16384
+# noise values per block: 2^16 float64s (512 KiB), 1,638 rows at dim 40
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class StabilityError(RuntimeError):
@@ -63,7 +75,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Per-node variances from the trajectory and from the trace oracle."""
+    """Per-node variances from the trajectory and from the trace oracle.
+
+    discretization_bias is the scheme's exact stationary total error minus
+    the continuous-time one; mc_standard_error is the standard error of
+    empirical_total_error about the scheme's stationary value.
+    """
 
     empirical_variance: np.ndarray
     empirical_total_error: float
@@ -71,6 +88,17 @@ class SimResult:
     analytic_variance: np.ndarray
     sample_count: int
     seed_used: int
+    discretization_bias: float
+    mc_standard_error: float
+
+
+def _ar1_scan(ys: np.ndarray, a: np.ndarray) -> None:
+    """In place, row t becomes the sum over k <= t of a^k * row (t - k)."""
+    power, d = a, 1
+    while d < len(ys):
+        ys[d:] += power * ys[:-d]
+        power = power * power
+        d *= 2
 
 
 def simulate(g: Graph, leaders: LeaderSet, cfg: SimConfig) -> SimResult:
@@ -84,7 +112,8 @@ def simulate(g: Graph, leaders: LeaderSet, cfg: SimConfig) -> SimResult:
     oracle = oracle_error_noise_free if isinstance(leaders.mode, NoiseFree) else oracle_error_gain
     analytic = oracle(g, leaders, cfg.sigma)
 
-    lam_max = float(np.linalg.eigvalsh(sys_mat)[-1])
+    lam, vec = np.linalg.eigh(sys_mat)
+    lam_max = float(lam[-1])
     if cfg.dt * lam_max >= 2.0:
         bound = 2.0 / lam_max
         raise StabilityError(
@@ -94,37 +123,41 @@ def simulate(g: Graph, leaders: LeaderSet, cfg: SimConfig) -> SimResult:
         )
 
     dim = len(active)
-    propagator = np.eye(dim) - cfg.dt * sys_mat
-    noise_scale = math.sqrt(cfg.dt)  # unit sigma; the variances are scaled by sigma^2 at the end
+    a = 1.0 - cfg.dt * lam
+    rows = max(1, _BLOCK_ELEMENTS // dim)
+    # unit sigma; the variances are scaled by sigma^2 at the end
+    rotate = math.sqrt(cfg.dt) * vec
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    x = np.zeros(dim)  # deviation from mu
-    sumsq = np.zeros(dim)
+    y = np.zeros(dim)  # modal deviation from mu after the last step
+    gram = np.zeros((dim, dim))
     burn = cfg.effective_burn_in
-
-    def advance(n_steps, collect):
-        nonlocal x, sumsq
-        done = 0
-        while done < n_steps:
-            bs = min(_BLOCK, n_steps - done)
-            noise = rng.standard_normal((bs, dim))
-            for t in range(bs):
-                x = propagator @ x
-                x += noise_scale * noise[t]
-                if collect:
-                    sumsq += x * x
-            if not np.all(np.isfinite(x)):
-                raise StabilityError("state diverged during integration")
-            done += bs
-
-    advance(burn, collect=False)
-    advance(cfg.steps - burn, collect=True)
+    for start in range(0, cfg.steps, rows):
+        ys = rng.standard_normal((min(rows, cfg.steps - start), dim)) @ rotate
+        ys[0] += a * y
+        _ar1_scan(ys, a)
+        y = ys[-1]
+        if not np.all(np.isfinite(y)):
+            raise StabilityError("state diverged during integration")
+        sampled = ys[max(0, burn - start):]
+        gram += sampled.T @ sampled
 
     samples = cfg.steps - burn
+    decay = cfg.dt * lam * (2.0 - cfg.dt * lam)  # 1 - a^2, without cancellation at small dt lam
+    s2 = cfg.sigma * cfg.sigma
     per_node = np.zeros(g.n)
     # a sigma^2 near the float limit overflows to inf here, which a report refuses to emit
     with np.errstate(over="ignore"):
-        per_node[active] = sumsq / samples * (cfg.sigma * cfg.sigma)
+        per_node[active] = ((vec @ gram) * vec).sum(axis=1) / samples * s2
         total = float(per_node.sum())
+        # sigma^2/(lam (2 - dt lam)) - sigma^2/(2 lam) per mode, in a form free of cancellation
+        bias = s2 * float((cfg.dt / (2.0 * (2.0 - cfg.dt * lam))).sum())
+        # var(y^2) = 2 v^2 with lag-k autocorrelation a^(2|k|), v = dt / (1 - a^2). A mode
+        # whose eigenvalue eigh puts at or below 0 never decays: its error has no bound.
+        if decay.min() > 0.0:
+            v = cfg.dt / decay
+            se = s2 * math.sqrt(float((2.0 * v * v * (1.0 + a * a) / decay).sum()) / samples)
+        else:
+            se = math.inf
     return SimResult(
         empirical_variance=per_node,
         empirical_total_error=total,
@@ -132,4 +165,6 @@ def simulate(g: Graph, leaders: LeaderSet, cfg: SimConfig) -> SimResult:
         analytic_variance=analytic.per_node_variance,
         sample_count=samples,
         seed_used=cfg.seed,
+        discretization_bias=bias,
+        mc_standard_error=se,
     )

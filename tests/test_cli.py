@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from leadsel import parse_edge_list
+import leadsel
+from leadsel import LeaderSet, SimConfig, cycle, parse_edge_list, simulate
 from leadsel.cli import build_parser, main
 
 
@@ -266,6 +271,10 @@ def test_simulate_smoke_and_determinism(tmp_path, capsys):
     assert a["payload"] == b["payload"]  # byte-identical payload per seed
     assert abs(a["payload"]["analytic_total_error"] - 0.5) < 1e-12
     assert len(a["payload"]["nodes"]) == 4
+    # M = 2I: two modes, each sigma^2 dt / (2 (2 - 2 dt)) above 1/4
+    assert abs(a["payload"]["discretization_bias"] - 1.0 / 98.0) < 1e-15
+    lib = simulate(cycle(4), LeaderSet((0, 2)), SimConfig(dt=0.02, steps=20_000, seed=12))
+    assert a["payload"]["mc_standard_error"] == lib.mc_standard_error
 
 
 def test_simulate_stability_exit_5(tmp_path, capsys):
@@ -393,6 +402,23 @@ def test_simulate_huge_sigma_is_finite(cycle6, capsys):
     variances = [n["empirical_variance"] for n in payload["nodes"]]
     assert all(math.isfinite(v) for v in variances + [payload["empirical_total_error"]])
     assert payload["empirical_total_error"] > 1e300
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(("simulate", "@cycle6", "--leaders", "0", "--steps", "1000"), id="simulate"),
+    pytest.param(("select", "@path9", "--m", "2", "--method", "closed-form", "--topology", "path"),
+                 id="select-closed-form"),
+])
+def test_oracle_sum_overflow_exit_2_without_warning(cycle6, path9, command):
+    # sigma^2 = 1.44e308 is finite, but the oracle's variance sum overflows;
+    # a fresh process shows numpy's warnings as a user would see them
+    files = {"@cycle6": cycle6, "@path9": path9}
+    argv = [files.get(a, a) for a in command] + ["--sigma", "1.2e154"]
+    src = str(Path(leadsel.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "leadsel.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "error" in proc.stderr
 
 
 def test_verify_random_suite_empty_range_exit_2(capsys):

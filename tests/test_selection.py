@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import leadsel
 from leadsel import (
     BudgetError,
     ClosedFormError,
@@ -296,3 +302,13 @@ def test_selection_rejects_bad_m():
         exhaustive_select(cycle(4), 4)
     with pytest.raises(GraphError):
         greedy_select(cycle(4), 5)
+
+
+def test_gain_greedy_does_not_import_numpy_ma():
+    # numpy.ma costs a cold CLI process about 13 ms on first import
+    src = str(Path(leadsel.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, leadsel as ls; ls.greedy_select(ls.cycle(8), 3, ls.Gain(1.0)); "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,7 @@
+import importlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,10 +16,50 @@ from leadsel import (
     cycle,
     oracle_error_gain,
     oracle_error_noise_free,
+    path,
     simulate,
 )
+from leadsel.kernels import system_matrix
 
 from conftest import rel_dev, seeded_random_graph
+
+# the package exports the function under the module's name
+sim_module = importlib.import_module("leadsel.simulate")
+
+
+def _per_step_reference(g, leaders, cfg):
+    """Empirical per-node variances from one mat-vec per Euler step.
+
+    The same scheme, noise stream and row order as simulate, run in the node
+    basis: x <- (I - dt M) x + sqrt(dt) xi, squares summed after burn-in.
+    """
+    sys_mat, active = system_matrix(g, leaders)
+    dim = len(active)
+    propagator = np.eye(dim) - cfg.dt * sys_mat
+    noise_scale = math.sqrt(cfg.dt)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    x = np.zeros(dim)
+    sumsq = np.zeros(dim)
+    burn = cfg.effective_burn_in
+
+    def advance(n_steps, collect):
+        nonlocal x, sumsq
+        done = 0
+        while done < n_steps:
+            bs = min(16384, n_steps - done)
+            noise = rng.standard_normal((bs, dim))
+            for t in range(bs):
+                x = propagator @ x
+                x += noise_scale * noise[t]
+                if collect:
+                    sumsq += x * x
+            done += bs
+
+    advance(burn, collect=False)
+    advance(cfg.steps - burn, collect=True)
+    per_node = np.zeros(g.n)
+    per_node[active] = sumsq / (cfg.steps - burn) * (cfg.sigma * cfg.sigma)
+    return per_node
 
 
 def test_same_seed_bit_identical():
@@ -105,3 +149,113 @@ def test_sigma_must_have_a_finite_square(sigma):
     # the variances scale with sigma^2; 1e200 squares to inf
     with pytest.raises(GraphError):
         SimConfig(dt=0.01, steps=100, sigma=sigma)
+
+
+def _assert_matches_reference(g, leaders, cfg):
+    got = simulate(g, leaders, cfg)
+    want = _per_step_reference(g, leaders, cfg)
+    # the same noise in another basis and summation order: rounding differences only
+    assert np.all(np.abs(got.empirical_variance - want) <= 1e-12 * want)
+    assert rel_dev(got.empirical_total_error, want.sum()) < 1e-12
+    assert got.sample_count == cfg.steps - cfg.effective_burn_in
+
+
+@pytest.mark.parametrize("mode", [NOISE_FREE, Gain(0.7)], ids=["noise-free", "gain"])
+@pytest.mark.parametrize("graph, members", [
+    pytest.param(cycle(6), (0,), id="cycle6"),
+    pytest.param(path(9), (1, 7), id="path9"),
+    pytest.param(seeded_random_graph(np.random.default_rng(23), 12, p=0.4, weighted=True), (2, 5),
+                 id="gnp12-weighted"),
+])
+def test_modal_scan_matches_per_step_loop(graph, members, mode):
+    # 20,003 steps end in a partial block at every dim here
+    cfg = SimConfig(dt=0.01, steps=20_003, sigma=0.6, seed=61)
+    _assert_matches_reference(graph, LeaderSet(members, mode), cfg)
+
+
+def _rows(dim):
+    return max(1, sim_module._BLOCK_ELEMENTS // dim)
+
+
+@pytest.mark.parametrize("steps, burn_in", [
+    pytest.param(lambda rows: 1, lambda rows: None, id="one-step"),
+    pytest.param(lambda rows: 5_000, lambda rows: 0, id="no-burn-in"),
+    pytest.param(lambda rows: 3 * rows + 5, lambda rows: rows + rows // 2, id="burn-in-ends-mid-block"),
+    pytest.param(lambda rows: 2 * rows, lambda rows: rows, id="whole-blocks"),
+])
+def test_modal_scan_block_boundaries(steps, burn_in):
+    g, leaders = cycle(6), LeaderSet((0,), Gain(1.5))
+    rows = _rows(g.n)
+    _assert_matches_reference(g, leaders, SimConfig(dt=0.02, steps=steps(rows), burn_in=burn_in(rows), seed=8))
+
+
+def test_modal_scan_single_row_blocks(monkeypatch):
+    # a dim above the element budget leaves one row per block
+    monkeypatch.setattr(sim_module, "_BLOCK_ELEMENTS", 4)
+    g, leaders = path(9), LeaderSet((0,), Gain(0.5))
+    assert _rows(g.n) == 1
+    _assert_matches_reference(g, leaders, SimConfig(dt=0.02, steps=3_000, seed=9))
+
+
+@pytest.mark.parametrize("mode", [NOISE_FREE, Gain(2.0)], ids=["noise-free", "gain"])
+def test_modal_scan_just_under_stability_bound(mode):
+    # the fastest mode has a = 1 - dt lambda_max close to -1
+    g = seeded_random_graph(np.random.default_rng(5), 10, p=0.5, weighted=True)
+    leaders = LeaderSet((3,), mode)
+    lam_max = np.linalg.eigvalsh(system_matrix(g, leaders)[0])[-1]
+    cfg = SimConfig(dt=0.999 * 2.0 / lam_max, steps=20_000, seed=10)
+    _assert_matches_reference(g, leaders, cfg)
+
+
+def test_transient_memory_does_not_grow_with_steps():
+    g = seeded_random_graph(np.random.default_rng(40), 40, p=0.3, weighted=True)
+    leaders = LeaderSet((0, 1), Gain(5.0))  # dim 40
+    peaks = []
+    for steps in (6_000, 600_000):
+        tracemalloc.start()
+        try:
+            simulate(g, leaders, SimConfig(dt=0.01, steps=steps, seed=4))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
+@pytest.mark.parametrize("mode", [NOISE_FREE, Gain(0.8)], ids=["noise-free", "gain"])
+def test_discretization_bias_matches_dense_traces(mode):
+    g = seeded_random_graph(np.random.default_rng(31), 9, p=0.5, weighted=True)
+    leaders = LeaderSet((2, 6), mode)
+    cfg = SimConfig(dt=0.03, steps=100, sigma=1.7, seed=1)
+    res = simulate(g, leaders, cfg)
+    mat = system_matrix(g, leaders)[0]
+    s2 = cfg.sigma * cfg.sigma
+    scheme = s2 * np.trace(np.linalg.inv(mat @ (2.0 * np.eye(len(mat)) - cfg.dt * mat)))
+    continuous = 0.5 * s2 * np.trace(np.linalg.inv(mat))
+    assert rel_dev(res.discretization_bias, scheme - continuous) < 1e-9
+    assert rel_dev(res.analytic_total_error, continuous) < 1e-12
+
+
+def test_mc_standard_error_matches_spread_over_seeds():
+    # cycle(4) grounded at node 0: three modes, slowest correlation time ~170 steps
+    g, leaders = cycle(4), LeaderSet((0,))
+    totals, errors = [], set()
+    for seed in range(256):
+        res = simulate(g, leaders, SimConfig(dt=0.01, steps=20_000, seed=seed))
+        totals.append(res.empirical_total_error)
+        errors.add(res.mc_standard_error)
+    assert len(errors) == 1  # a property of the scheme and sample count, not of the draw
+    spread = np.std(totals, ddof=1)
+    # 256 draws estimate a standard deviation to within about 4.4% (one sigma)
+    assert 0.8 < spread / errors.pop() < 1.2
+
+
+@pytest.mark.parametrize("k", [1e-12, 1e-15, 1e-20])
+def test_nondecaying_mode_has_unbounded_standard_error(k):
+    # lambda_min ~ k/n sits below eigh's absolute error, so it can come out <= 0
+    g, leaders = cycle(6), LeaderSet((0,), Gain(k))
+    cfg = SimConfig(dt=0.01, steps=1_000, seed=0)
+    _assert_matches_reference(g, leaders, cfg)
+    lam_min = np.linalg.eigh(system_matrix(g, leaders)[0])[0][0]
+    se = simulate(g, leaders, cfg).mc_standard_error
+    assert math.isinf(se) == (lam_min <= 0.0)
+    assert se > 0.0
