@@ -53,6 +53,7 @@ from .kernels import (
 from .selection import (
     BudgetError,
     ClosedFormError,
+    NodePairs,
     Objective,
     PairSweep,
     SelectionResult,

@@ -264,14 +264,15 @@ def _cmd_pairs(args):
     counts, edges = sweep.histogram(args.bins)
     base = args.index_base
     rows = [
-        {"i": _shift(i, base), "j": _shift(j, base), "rho": float(r)}
-        for (i, j), r in zip(sweep.pairs, sweep.rho)
+        {"i": i, "j": j, "rho": r}
+        for i, j, r in zip((sweep.pairs.ii + base).tolist(), (sweep.pairs.jj + base).tolist(),
+                           sweep.rho.tolist())
     ]
     payload = {
         "pairs": rows,
         "histogram": {"counts": counts.tolist(), "bin_edges": edges.tolist()},
         "max_rho": float(sweep.rho.max()),
-        "argmax_pairs": [[_shift(i, base), _shift(j, base)] for i, j in sweep.argmax_pairs()],
+        "argmax_pairs": [[i + base, j + base] for i, j in sweep.argmax_pairs()],
     }
     return g, payload, rows
 

@@ -21,6 +21,8 @@ results unverifiable.
 
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,20 +301,46 @@ def closed_form_path_two(n: int, *, sigma: float = 1.0) -> SelectionResult:
     )
 
 
+class NodePairs(Sequence):
+    """Read-only sequence of node pairs (i, j), held as two index arrays.
+
+    ``ii`` and ``jj`` are the arrays themselves, read-only; ``pairs[k]`` is
+    a fresh ``(int, int)`` tuple, so keeping it pins neither array.
+    """
+
+    __slots__ = ("ii", "jj")
+
+    def __init__(self, ii: np.ndarray, jj: np.ndarray):
+        ii.flags.writeable = jj.flags.writeable = False
+        self.ii, self.jj = ii, jj
+
+    def __len__(self) -> int:
+        return len(self.ii)
+
+    def __getitem__(self, k):
+        k = operator.index(k)
+        return int(self.ii[k]), int(self.jj[k])
+
+    def __iter__(self):
+        return zip(self.ii.tolist(), self.jj.tolist())
+
+
 @dataclass(frozen=True)
 class PairSweep:
-    """Two-leader joint centrality for a collection of node pairs."""
+    """Two-leader joint centrality for a collection of node pairs.
+
+    ``pairs`` is a NodePairs sequence; ``rho[k]`` belongs to ``pairs[k]``.
+    """
 
     n: int
-    pairs: tuple
+    pairs: NodePairs
     rho: np.ndarray
 
     def matrix(self) -> np.ndarray:
         """Upper-triangular n x n table; unswept entries are NaN, diagonal 0."""
         out = np.full((self.n, self.n), np.nan)
         np.fill_diagonal(out, 0.0)
-        for (i, j), r in zip(self.pairs, self.rho):
-            out[i, j] = r
+        out[self.pairs.ii, self.pairs.jj] = self.rho
         return out
 
     def histogram(self, bins: int = 10):
@@ -331,13 +359,17 @@ class PairSweep:
         return np.histogram(self.rho, bins=bins)
 
     def argmax_pairs(self, tie_tol: float = TIE_TOL):
+        """The (i, j) tuples within tie_tol of the largest rho, in sweep order."""
         top = self.rho.max()
-        return [p for p, r in zip(self.pairs, self.rho) if r >= top * (1.0 - tie_tol)]
+        return [self.pairs[k] for k in np.flatnonzero(self.rho >= top * (1.0 - tie_tol)).tolist()]
 
 
 def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernels=None) -> PairSweep:
     """Two-leader joint centrality for every pair (or a given pair list).
 
+    The full sweep scores every pair i < j in row-major order, straight from
+    np.triu_indices; a given list is scored in its order, each pair sorted.
+    ``pairs`` on the result is a NodePairs over the two index arrays.
     Vectorised over the whole L+ / (L^2)+ tables; errors out when the number
     of pairs exceeds the evaluation budget. A noise-free pair needs a
     follower, so the graph needs n >= 3.
@@ -350,7 +382,7 @@ def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernel
     if pairs is None:
         if math.comb(n, 2) > budget:
             raise BudgetError(f"C({n}, 2) = {math.comb(n, 2)} pairs exceeds budget {budget}")
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ii, jj = np.triu_indices(n, 1)
     else:
         pairs = [tuple(sorted((int(i), int(j)))) for i, j in pairs]
         if len(pairs) > budget:
@@ -358,10 +390,11 @@ def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernel
         for i, j in pairs:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"invalid node pair ({i}, {j})")
-    ii = np.array([p[0] for p in pairs])
-    jj = np.array([p[1] for p in pairs])
+        if not pairs:
+            raise GraphError("the pair list is empty")
+        ii, jj = np.array(pairs, dtype=np.intp).T
     n_over_rho = _pair_kernel(kernels, ii, jj, 0.0)
-    return PairSweep(n=n, pairs=tuple(pairs), rho=n / n_over_rho)
+    return PairSweep(n=n, pairs=NodePairs(ii, jj), rho=n / n_over_rho)
 
 
 def tridiagonal_chain_trace(w: int) -> float:

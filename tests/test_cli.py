@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 import leadsel
 from leadsel import LeaderSet, SimConfig, cycle, parse_edge_list, simulate
 from leadsel.cli import build_parser, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -224,6 +227,28 @@ def test_pairs_csv_row_count(cycle6, capsys):
     assert code == 0
     lines = [l for l in out.split("\r\n") if l]
     assert len(lines) == 1 + 15  # header + C(6,2)
+
+
+_TIMING = re.compile(r'"timing_seconds": [^\n]*')
+
+
+@pytest.mark.parametrize("fmt,base,pair_list,golden", [
+    ("json", "1", None, "pairs_base1.json"),
+    ("csv", "1", None, "pairs_base1.csv"),
+    ("json", "0", "pairs_list.txt", "pairs_base0_list.json"),
+    ("csv", "1", "pairs_list.txt", "pairs_base1_list.csv"),
+])
+def test_pairs_report_bytes_are_pinned(fmt, base, pair_list, golden, capsys, monkeypatch):
+    # the reports of the tuple-per-pair sweep, captured byte for byte;
+    # only the wall-clock timing may differ
+    monkeypatch.chdir(DATA)
+    argv = ["pairs", "pairs_graph.edges", "--format", fmt, "--index-base", base, "--bins", "4"]
+    if pair_list:
+        argv += ["--pair-list", pair_list]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    expect = (DATA / golden).read_bytes().decode("utf-8")
+    assert _TIMING.sub("", out) == _TIMING.sub("", expect)
 
 
 def test_verify_graph_ok(cycle6, capsys):

@@ -1,6 +1,8 @@
+import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from leadsel import (
     path,
     tridiagonal_chain_trace,
 )
+from leadsel.joint import _pair_kernel
 from conftest import rel_dev, seeded_random_graph
 
 
@@ -245,12 +248,87 @@ def test_pairwise_sweep_row_count_and_restriction():
     g = cycle(7)
     assert len(pairwise_sweep(g).pairs) == 21
     sweep = pairwise_sweep(cycle(4), pairs=[(0, 2)])
-    assert sweep.pairs == ((0, 2),)
+    assert tuple(sweep.pairs) == ((0, 2),)
     assert abs(sweep.rho[0] - 4.0) < 1e-9
     with pytest.raises(BudgetError):
         pairwise_sweep(cycle(30), budget=10)
     with pytest.raises(GraphError):
         pairwise_sweep(cycle(4), pairs=[(1, 1)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 20, 61])
+def test_full_sweep_pairs_are_the_combinations(n):
+    g = seeded_random_graph(np.random.default_rng(n), n, p=0.3, weighted=True)
+    kernels = compute_kernels(g)
+    sweep = pairwise_sweep(g, kernels=kernels)
+    expect = list(itertools.combinations(range(n), 2))
+    assert len(sweep.pairs) == len(expect)
+    assert list(sweep.pairs) == expect
+    for k in (0, len(expect) // 2, len(expect) - 1, -1):
+        assert sweep.pairs[k] == expect[k]
+    for pair in [*sweep.pairs, sweep.pairs[0], sweep.pairs[-1]]:
+        assert type(pair) is tuple and len(pair) == 2
+        assert all(type(v) is int for v in pair)
+    ii, jj = (np.array(c) for c in zip(*expect))
+    assert np.array_equal(sweep.rho, n / _pair_kernel(kernels, ii, jj, 0.0))
+    assert np.array_equal(sweep.pairs.ii, ii) and np.array_equal(sweep.pairs.jj, jj)
+
+
+def test_sweep_pairs_are_read_only():
+    pairs = pairwise_sweep(cycle(6)).pairs
+    for arr in (pairs.ii, pairs.jj):
+        with pytest.raises(ValueError):
+            arr[0] = 5
+    with pytest.raises(IndexError):
+        pairs[15]
+    with pytest.raises(TypeError):
+        pairs[1:3]
+    assert (0, 3) in pairs and (3, 0) not in pairs
+
+
+def test_pair_list_is_sorted_and_checked_in_order():
+    g = cycle(6)
+    full = pairwise_sweep(g)
+    listed = pairwise_sweep(g, pairs=[(4, 1), (0, 5), (1, 4), (np.int64(2), 3.0)])
+    assert list(listed.pairs) == [(1, 4), (0, 5), (1, 4), (2, 3)]
+    lookup = dict(zip(full.pairs, full.rho))
+    assert np.array_equal(listed.rho, [lookup[p] for p in listed.pairs])
+    assert listed.argmax_pairs() == [(1, 4), (1, 4)]
+    with pytest.raises(GraphError, match=r"invalid node pair \(3, 3\)"):
+        pairwise_sweep(g, pairs=[(0, 1), (3, 3), (7, 0)])
+    with pytest.raises(GraphError, match=r"invalid node pair \(0, 7\)"):
+        pairwise_sweep(g, pairs=[(0, 1), (7, 0), (3, 3)])
+    with pytest.raises(GraphError, match=r"invalid node pair \(-1, 2\)"):
+        pairwise_sweep(g, pairs=[(2, -1)])
+    with pytest.raises(BudgetError, match="3 pairs exceeds budget 2"):
+        pairwise_sweep(g, pairs=[(0, 1), (7, 0), (3, 3)], budget=2)
+    with pytest.raises(GraphError, match="empty"):
+        pairwise_sweep(g, pairs=[])
+
+
+def test_matrix_places_every_swept_pair():
+    g = seeded_random_graph(np.random.default_rng(5), 9, p=0.4, weighted=True)
+    sweep = pairwise_sweep(g)
+    mat = sweep.matrix()
+    for (i, j), r in zip(sweep.pairs, sweep.rho):
+        assert mat[i, j] == r
+    assert np.all(np.isnan(mat[np.tril_indices(9, -1)]))
+    assert np.all(np.diag(mat) == 0.0)
+
+
+def test_full_sweep_memory_per_pair():
+    # two index arrays and the kernel's float temporaries; one Python tuple
+    # per pair would cost about 145 bytes a pair
+    g = leadsel.erdos_renyi(600, 8 / 599, seed=0)
+    kernels = compute_kernels(g)
+    tracemalloc.start()
+    try:
+        sweep = pairwise_sweep(g, kernels=kernels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sweep.pairs) == 179_700
+    assert peak / len(sweep.pairs) < 96
 
 
 def test_tridiagonal_chain_trace_against_dense_inverse():
