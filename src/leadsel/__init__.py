@@ -48,7 +48,6 @@ from .kernels import (
     compute_kernels,
     oracle_error_gain,
     oracle_error_noise_free,
-    per_node_variance_spectral,
 )
 from .selection import (
     BudgetError,
@@ -62,7 +61,6 @@ from .selection import (
     closed_form_path_two,
     exhaustive_select,
     greedy_select,
-    oracle_select,
     pairwise_sweep,
     tridiagonal_chain_trace,
 )

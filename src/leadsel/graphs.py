@@ -128,7 +128,10 @@ NOISE_FREE = NoiseFree()
 
 @dataclass(frozen=True)
 class LeaderSet:
-    """Ordered set of distinct leader nodes; the first member is the pivot.
+    """Ordered set of distinct leader nodes in one leader mode.
+
+    The order is kept: ``joint_centrality`` takes the first member as its
+    default pivot.
 
     Validity against a particular graph (ids within 0..n-1 and m < n) is
     checked by the operations that take both a graph and a leader set.
@@ -148,10 +151,6 @@ class LeaderSet:
         if not isinstance(self.mode, (NoiseFree, Gain)):
             raise GraphError(f"mode must be NoiseFree or Gain, got {self.mode!r}")
         object.__setattr__(self, "members", members)
-
-    @property
-    def pivot(self):
-        return self.members[0]
 
     @property
     def m(self):

@@ -1,20 +1,22 @@
 """Joint centrality of a node set and its specializations.
 
 The joint centrality rho of a leader set S is defined so that the total
-steady-state tracking error with noise-free leaders equals
-(sigma^2 / 2) * (n / rho). It is evaluated from entries of L+ relative to a
-pivot member p of S and the rest R = S \\ {p}:
+steady-state tracking error equals (sigma^2 / 2) * (n / rho). With u = 1/k
+for leaders of gain k and u = 0 for noise-free leaders, it is evaluated from
+entries of L+ relative to a pivot member p of S and the rest R = S \\ {p}:
 
-    n / rho = K_f/n + n (L+[p,p] - e^T G e) - tr(G D^T D),
+    n / rho = K_f/n + n (L+[p,p] + u - f^T G f) - sum((D G) o D),
 
-where D = L+[:, p] - L+[:, R] (one column per member of R), e = D[p] and G
-is the inverse of the pivot-grounded Gram block over R (``n_inverse_entries``).
-For m = 1, R is empty and rho is the node's information centrality. The
-paper's compact form (two determinants and Gamma_S) is the same quantity;
-the tests use it as a cross-check.
+where D = L+[:, p] - L+[:, R] (one column per member of R), f = D[p] + u
+and G is the inverse of N_p[R, R] + u (I + J), N_p the pivot-grounded Gram
+matrix of L+ (``n_inverse_entries``). For m = 1, R is empty: noise-free,
+rho is the node's information centrality. The paper's compact form (two
+determinants and Gamma_S) is the same quantity; the tests use it as a
+cross-check.
 
 Two-leader values, noise-free and with finite gain, single pairs and whole
-pair arrays, all come from one pair formula in ``_pair_kernel``.
+pair arrays, also come from one pair formula in ``_pair_kernel``: the same
+quantity at m = 2, vectorised over pairs.
 """
 
 import math
@@ -55,13 +57,16 @@ def n_inverse_entries(kernels: GraphKernels, pivot: int) -> np.ndarray:
     return lp - col[:, None] - col[None, :] + lp[pivot, pivot]
 
 
-def joint_centrality(kernels: GraphKernels, members, pivot=None, sigma: float = 1.0) -> JointCentralityResult:
-    """Joint centrality of an arbitrary leader set (1 <= m < n).
+def joint_centrality(
+    kernels: GraphKernels, members, pivot=None, sigma: float = 1.0, *, mode=NOISE_FREE
+) -> JointCentralityResult:
+    """Joint centrality of an arbitrary leader set in either leader mode.
 
-    ``pivot`` defaults to the first member; the value of rho does not depend
-    on the choice.
+    Noise-free leaders need 1 <= m < n; finite-gain leaders may cover every
+    node. ``pivot`` defaults to the first member; the value of rho does not
+    depend on the choice.
     """
-    members = LeaderSet(members).check_against(kernels.n).members
+    members = LeaderSet(members, mode).check_against(kernels.n).members
     if pivot is None:
         pivot = members[0]
     pivot = int(pivot)
@@ -70,21 +75,30 @@ def joint_centrality(kernels: GraphKernels, members, pivot=None, sigma: float = 
     lp = kernels.lplus
     n = kernels.n
     rest = [v for v in members if v != pivot]
-    grounded = n_inverse_entries(kernels, pivot)[np.ix_(rest, rest)]
-    det_grounded = float(np.linalg.det(grounded))
+    grounded = n_inverse_entries(kernels, pivot)[rest][:, rest]
+    diffs = lp[:, [pivot]] - lp[:, rest]
+    f = diffs[pivot]
+    lpp = lp[pivot, pivot]
+    # A huge u (a tiny gain) overflows det to inf or nan, which the check below raises on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(mode, Gain):
+            u = 1.0 / mode.k
+            grounded = grounded + u * (1.0 + np.eye(len(rest)))
+            f = f + u
+            lpp = lpp + u
+        det_grounded = float(np.linalg.det(grounded))
+        natural_scale = float(np.prod(np.abs(np.diag(grounded))))
     if not (math.isfinite(det_grounded) and det_grounded > 0.0):
         raise NumericalDegeneracyError(
             f"grounded Gram matrix of {members} (pivot {pivot}) is numerically singular"
         )
     warnings = ()
-    if abs(det_grounded) < _DET_WARN * float(np.prod(np.abs(np.diag(grounded)))):
+    if abs(det_grounded) < _DET_WARN * natural_scale:
         warnings = ("det of the grounded Gram matrix is far below its natural scale",)
     gmat = np.linalg.inv(grounded)
-    diffs = lp[:, [pivot]] - lp[:, rest]
-    e = diffs[pivot]
     n_over_rho = float(
         kernels.kirchhoff / n
-        + n * (lp[pivot, pivot] - e @ gmat @ e)
+        + n * (lpp - f @ gmat @ f)
         - np.sum((diffs @ gmat) * diffs)
     )
     if not (math.isfinite(n_over_rho) and n_over_rho > 0.0):

@@ -144,19 +144,3 @@ def oracle_error_gain(g: Graph, leaders: LeaderSet, sigma: float = 1.0) -> Error
         total = float(var.sum())
     return ErrorReport(total, var, sigma)
 
-
-def per_node_variance_spectral(g: Graph, leaders: LeaderSet, sigma: float = 1.0) -> np.ndarray:
-    """Per-node steady-state variance via the eigenpairs of L + K.
-
-    Var(x_i) = sigma^2 * sum_p |v_i^(p)|^2 / (2 lambda_p); an independent
-    route to the diagonal of oracle_error_gain.
-    """
-    _check_mode(leaders, Gain)
-    mat, _ = system_matrix(g, leaders)
-    try:
-        lam, vec = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigendecomposition failed: {exc}") from exc
-    if lam[0] <= 0.0:
-        raise SpectralError(f"L + K not positive definite (min eigenvalue {lam[0]:.3e})")
-    return sigma * sigma * ((vec * vec) / (2.0 * lam)).sum(axis=1)

@@ -1,18 +1,20 @@
 """Optimal leader selection.
 
-Four routes to the same question "which m nodes should lead":
+Three routes to the same question "which m nodes should lead":
 
 * exhaustive_select  - enumerate all m-subsets, objective from joint
-  centrality (noise-free; gain for m <= 2) or the trace oracle (gain, m > 2);
-  pairs, noise-free and with gain, are scored a chunk at a time by the one
-  pair kernel of ``joint``;
-* oracle_select      - same enumeration, objective always from the dense
-  trace oracle (the slow, trusted route);
+  centrality in either leader mode: single leaders by
+  ``single_leader_error``, pairs a chunk at a time by the one pair kernel
+  of ``joint``, every larger set by ``joint_centrality``;
 * greedy_select      - grow the set one node at a time by the largest error
   drop, scored for all candidates at once by rank-one updates of one
   inverse (a baseline; provably suboptimal on some cycles);
 * closed forms       - uniform placements on cycles, antipodal pairs on even
-  cycles, and the two-leader rounding formula on paths.
+  cycles, and the two-leader rounding formula on paths, each scored by
+  ``joint_centrality``.
+
+None of them calls the dense trace oracles of ``kernels``: those stay the
+independent check on the closed forms.
 
 Ties within a relative tolerance are enumerated, not broken: symmetric
 graphs have orbit-sized optimal families and hiding them would make the
@@ -31,13 +33,7 @@ from . import graphs
 from .centrality import inverse_info_centrality
 from .graphs import Gain, Graph, GraphError, LeaderSet, NOISE_FREE, NoiseFree
 from .joint import _pair_kernel, joint_centrality, single_leader_error
-from .kernels import (
-    compute_kernels,
-    oracle_error_gain,
-    oracle_error_noise_free,
-    spd_inverse,
-    system_matrix,
-)
+from .kernels import compute_kernels, spd_inverse, system_matrix
 
 TIE_TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
@@ -68,7 +64,7 @@ class SelectionResult:
     notes: tuple = field(default=())
 
 
-def _chunk_errors(g, mode, m, sigma, kernels):
+def _chunk_errors(mode, m, sigma, kernels):
     """Chunk-of-sets -> total errors callable for the exhaustive objective."""
     if not isinstance(mode, (NoiseFree, Gain)):
         raise GraphError(f"mode must be NoiseFree or Gain, got {mode!r}")
@@ -77,16 +73,9 @@ def _chunk_errors(g, mode, m, sigma, kernels):
     if m == 2:
         u = 1.0 / mode.k if isinstance(mode, Gain) else 0.0
         return lambda chunk: 0.5 * sigma * sigma * _pair_kernel(kernels, *np.array(chunk).T, u)
-    if isinstance(mode, NoiseFree):
-        return lambda chunk: [
-            joint_centrality(kernels, s, sigma=sigma).implied_total_error for s in chunk
-        ]
-    return lambda chunk: [oracle_error_gain(g, LeaderSet(s, mode), sigma).total_error for s in chunk]
-
-
-def _oracle_chunk_errors(g, mode, sigma):
-    oracle = oracle_error_gain if isinstance(mode, Gain) else oracle_error_noise_free
-    return lambda chunk: [oracle(g, LeaderSet(s, mode), sigma).total_error for s in chunk]
+    return lambda chunk: [
+        joint_centrality(kernels, s, sigma=sigma, mode=mode).implied_total_error for s in chunk
+    ]
 
 
 def _chunked(iterable, size):
@@ -142,20 +131,8 @@ def exhaustive_select(
     """All argmin-error (equivalently argmax-rho) m-subsets by enumeration."""
     if kernels is None:
         kernels = compute_kernels(g)
-    chunk_errors = _chunk_errors(g, mode, m, sigma, kernels)
+    chunk_errors = _chunk_errors(mode, m, sigma, kernels)
     return _search(g, m, chunk_errors, "exhaustive", budget=budget, sigma=sigma)
-
-
-def oracle_select(
-    g: Graph,
-    m: int,
-    mode=NOISE_FREE,
-    *,
-    sigma: float = 1.0,
-    budget: int = DEFAULT_BUDGET,
-) -> SelectionResult:
-    """Enumeration with the dense trace oracle as the objective."""
-    return _search(g, m, _oracle_chunk_errors(g, mode, sigma), "oracle", budget=budget, sigma=sigma)
 
 
 def _first_near_min(values) -> int:
@@ -218,6 +195,19 @@ def greedy_select(g: Graph, m: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> S
     )
 
 
+def _closed_form(g, optimal_sets, mode, sigma, method, notes):
+    """SelectionResult of a closed-form family, scored on its first set."""
+    res = joint_centrality(compute_kernels(g), optimal_sets[0], sigma=sigma, mode=mode)
+    return SelectionResult(
+        optimal_sets=optimal_sets,
+        objective=Objective(rho=res.rho, total_error=res.implied_total_error),
+        method=method,
+        evaluated_count=1,
+        m=len(optimal_sets[0]),
+        notes=notes,
+    )
+
+
 def closed_form_cycle(n: int, m: int, *, sigma: float = 1.0) -> SelectionResult:
     """Optimal m noise-free leaders on a cycle: uniform spacing p = n/m.
 
@@ -231,16 +221,9 @@ def closed_form_cycle(n: int, m: int, *, sigma: float = 1.0) -> SelectionResult:
             f"uniform placement needs integer spacing: n={n} not divisible by m={m}"
         )
     p = n // m
-    canonical = tuple(range(0, n, p))
-    err = oracle_error_noise_free(graphs.cycle(n), LeaderSet(canonical), sigma).total_error
-    return SelectionResult(
-        optimal_sets=(canonical,),
-        objective=Objective(rho=n * sigma * sigma / (2.0 * err), total_error=err),
-        method="closed-form-cycle",
-        evaluated_count=1,
-        m=m,
-        notes=(f"all {p} rotations of the uniform placement are exact ties",),
-    )
+    notes = (f"all {p} rotations of the uniform placement are exact ties",)
+    return _closed_form(graphs.cycle(n), (tuple(range(0, n, p)),), NOISE_FREE, sigma,
+                        "closed-form-cycle", notes)
 
 
 def closed_form_cycle_two(n: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> SelectionResult:
@@ -253,19 +236,8 @@ def closed_form_cycle_two(n: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> Sel
         raise ClosedFormError(f"antipodal pairs need an even cycle with n >= 4, got n={n}")
     half = n // 2
     pairs = tuple((i, i + half) for i in range(half))
-    g = graphs.cycle(n)
-    if isinstance(mode, NoiseFree):
-        err = oracle_error_noise_free(g, LeaderSet(pairs[0], mode), sigma).total_error
-    else:
-        err = oracle_error_gain(g, LeaderSet(pairs[0], mode), sigma).total_error
-    return SelectionResult(
-        optimal_sets=pairs,
-        objective=Objective(rho=n * sigma * sigma / (2.0 * err), total_error=err),
-        method="closed-form-cycle-two",
-        evaluated_count=1,
-        m=2,
-        notes=("every antipodal pair has maximal resistance distance n/4",),
-    )
+    return _closed_form(graphs.cycle(n), pairs, mode, sigma, "closed-form-cycle-two",
+                        ("every antipodal pair has maximal resistance distance n/4",))
 
 
 def _round_half_away(x: float) -> int:
@@ -286,19 +258,9 @@ def closed_form_path_two(n: int, *, sigma: float = 1.0) -> SelectionResult:
     s2 = _round_half_away(4 * n / 5 + 0.5)
     pair = (s1 - 1, s2 - 1)
     mirror = tuple(sorted((n - s2, n - s1)))
-    sets = tuple(sorted({pair, mirror}))
-    err = oracle_error_noise_free(graphs.path(n), LeaderSet(pair), sigma).total_error
-    notes = ()
-    if mirror != pair:
-        notes = ("rounding tie: the mirror pair is equally optimal",)
-    return SelectionResult(
-        optimal_sets=sets,
-        objective=Objective(rho=n * sigma * sigma / (2.0 * err), total_error=err),
-        method="closed-form-path-two",
-        evaluated_count=1,
-        m=2,
-        notes=notes,
-    )
+    notes = ("rounding tie: the mirror pair is equally optimal",) if mirror != pair else ()
+    return _closed_form(graphs.path(n), tuple(sorted({pair, mirror})), NOISE_FREE, sigma,
+                        "closed-form-path-two", notes)
 
 
 class NodePairs(Sequence):
@@ -335,13 +297,6 @@ class PairSweep:
     n: int
     pairs: NodePairs
     rho: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        """Upper-triangular n x n table; unswept entries are NaN, diagonal 0."""
-        out = np.full((self.n, self.n), np.nan)
-        np.fill_diagonal(out, 0.0)
-        out[self.pairs.ii, self.pairs.jj] = self.rho
-        return out
 
     def histogram(self, bins: int = 10):
         """(counts, bin_edges) of the rho values.

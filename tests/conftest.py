@@ -1,7 +1,19 @@
+import itertools
+
 from hypothesis import strategies as st
 
-from leadsel import Graph
+from leadsel import (
+    Gain,
+    Graph,
+    LeaderSet,
+    NOISE_FREE,
+    Objective,
+    SelectionResult,
+    oracle_error_gain,
+    oracle_error_noise_free,
+)
 from leadsel.graphs import DisconnectedGraphError, _gnp_edges
+from leadsel.selection import TIE_TOL
 
 
 def rel_dev(a, b):
@@ -47,3 +59,19 @@ def seeded_random_graph(rng, n, p=0.5, weighted=False):
             return Graph(n, _gnp_edges(rng, n, p, weighted))
         except DisconnectedGraphError:
             continue
+
+
+def oracle_select(g, m, mode=NOISE_FREE):
+    """Reference enumeration: every m-subset within TIE_TOL of the least
+    dense-oracle error, by a plain loop over itertools.combinations."""
+    oracle = oracle_error_gain if isinstance(mode, Gain) else oracle_error_noise_free
+    errors = [(s, oracle(g, LeaderSet(s, mode)).total_error)
+              for s in itertools.combinations(range(g.n), m)]
+    best = min(e for _, e in errors)
+    return SelectionResult(
+        optimal_sets=tuple(s for s, e in errors if e <= best * (1.0 + TIE_TOL)),
+        objective=Objective(rho=g.n / (2.0 * best), total_error=best),
+        method="oracle",
+        evaluated_count=len(errors),
+        m=m,
+    )

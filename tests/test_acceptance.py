@@ -28,7 +28,6 @@ from leadsel import (
     laplacian,
     oracle_error_gain,
     oracle_error_noise_free,
-    oracle_select,
     exhaustive_select,
     greedy_select,
     closed_form_cycle,
@@ -41,7 +40,7 @@ from leadsel import (
 )
 from leadsel.suites import CONNECTED_CLASS_COUNTS, connected_graph_atlas, random_connected_graphs
 
-from conftest import max_triangle_violation, rel_dev
+from conftest import max_triangle_violation, oracle_select, rel_dev
 
 TIE = 1e-9
 

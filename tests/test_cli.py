@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,10 @@ def test_select_degenerate_gain_exit_2(cycle6, capsys):
     argv = ["select", cycle6, "--m", "2", "--mode", "gain", "--k", "1e-300"]
     assert input_error(capsys, *argv) == 2
     assert input_error(capsys, "verify", cycle6, "--k-values", "1e-300") == 2
+    # three leaders: the shifted grounded Gram matrix has an overflowing det
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert input_error(capsys, "select", cycle6, "--m", "3", "--mode", "gain", "--k", "1e-300") == 2
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

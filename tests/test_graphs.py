@@ -149,7 +149,7 @@ def test_serialize_round_trip_random(g):
 
 def test_leader_set_validation():
     ls = LeaderSet((2, 0), NOISE_FREE)
-    assert ls.pivot == 2 and ls.m == 2
+    assert ls.m == 2
     with pytest.raises(GraphError):
         LeaderSet((0, 0))
     with pytest.raises(GraphError):

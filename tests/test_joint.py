@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,19 +202,92 @@ def test_implied_error_matches_oracle_random(g, data):
     assert rel_dev(implied, oracle) < 1e-8
 
 
-@pytest.mark.parametrize("spread", [1e3, 1e6, 1e9])
-def test_implied_error_matches_oracle_under_weight_spread(spread):
-    # conditioning ladder: log-uniform weights over [1, spread] on G(14, 0.4)
+def _weight_spread_graph(spread):
+    """Conditioning ladder: log-uniform weights over [1, spread] on G(14, 0.4)."""
     rng = np.random.default_rng(101)
     base = seeded_random_graph(rng, 14, p=0.4)
     weights = spread ** rng.uniform(0.0, 1.0, size=base.edge_count)
-    g = Graph(14, tuple((u, v, float(w)) for (u, v, _), w in zip(base.edges, weights)))
+    return Graph(14, tuple((u, v, float(w)) for (u, v, _), w in zip(base.edges, weights)))
+
+
+@pytest.mark.parametrize("spread", [1e3, 1e6, 1e9])
+def test_implied_error_matches_oracle_under_weight_spread(spread):
+    g = _weight_spread_graph(spread)
     k = compute_kernels(g)
     for m in (1, 2, 3):
         for members in itertools.combinations(range(g.n), m):
             closed = joint_centrality(k, members).implied_total_error
             exact = oracle_error_noise_free(g, LeaderSet(members)).total_error
             assert rel_dev(closed, exact) < 1e-8, (members, closed, exact)
+
+
+def _exact_gain_error(g, members, k):
+    """(1/2) tr((L + K)^-1) in exact rationals: L from the edge weights as
+    fractions, inverted by Gauss-Jordan."""
+    n = g.n
+    a = [[Fraction(0)] * n + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for u, v, w in g.edges:
+        w = Fraction(w)
+        a[u][v] -= w
+        a[v][u] -= w
+        a[u][u] += w
+        a[v][v] += w
+    for s in members:
+        a[s][s] += Fraction(k)
+    for c in range(n):  # L + K is positive definite, so every pivot is nonzero
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return float(sum(a[i][n + i] for i in range(n)) / 2)
+
+
+def test_gain_joint_centrality_matches_exact_rationals_under_weight_spread():
+    # the dense oracle is only good to about 1e-7 here; the formula is exact to rounding
+    g = _weight_spread_graph(1e9)
+    kernels = compute_kernels(g)
+    rng = np.random.default_rng(103)
+    for _ in range(4):
+        members = tuple(rng.choice(g.n, 3, replace=False).tolist())
+        for gain in (0.3, 3.0):
+            closed = joint_centrality(kernels, members, mode=Gain(gain)).implied_total_error
+            exact = _exact_gain_error(g, members, gain)
+            assert rel_dev(closed, exact) < 1e-12, (members, gain, closed, exact)
+
+
+def test_gain_joint_centrality_matches_oracle_with_every_pivot():
+    # asymmetric sets: unequal L+ diagonals, so a misplaced u term would show
+    g = seeded_random_graph(np.random.default_rng(61), 9, weighted=True)
+    k = compute_kernels(g)
+    for members in ((0, 5, 2), (7, 3, 8), (1, 6, 4, 0), (8, 2, 5, 3)):
+        assert np.ptp(k.lplus.diagonal()[list(members)]) > 1e-2
+        for gain in (0.3, 3.0):
+            oracle = oracle_error_gain(g, LeaderSet(members, Gain(gain))).total_error
+            for pivot in members:
+                res = joint_centrality(k, members, pivot=pivot, mode=Gain(gain))
+                assert rel_dev(res.implied_total_error, oracle) < 1e-12, (members, pivot, gain)
+    # one and two leaders: the single-leader and pair formulas
+    for gain in (0.3, 3.0):
+        for s in (0, 5):
+            res = joint_centrality(k, (s,), mode=Gain(gain))
+            assert rel_dev(res.implied_total_error, single_leader_error(k, s, Gain(gain))) < 1e-12
+        for s1, s2 in ((0, 5), (8, 3)):
+            res = joint_centrality(k, (s1, s2), mode=Gain(gain))
+            pair = joint_centrality_two_gain(k, s1, s2, gain)
+            assert rel_dev(res.implied_total_error, pair.implied_total_error) < 1e-12
+
+
+def test_gain_set_may_cover_every_node():
+    g = seeded_random_graph(np.random.default_rng(59), 8, weighted=True)
+    k = compute_kernels(g)
+    everyone = tuple(range(g.n))
+    for gain in (0.3, 3.0):
+        res = joint_centrality(k, everyone, mode=Gain(gain))
+        oracle = oracle_error_gain(g, LeaderSet(everyone, Gain(gain))).total_error
+        assert rel_dev(res.implied_total_error, oracle) < 1e-12
+    with pytest.raises(GraphError):
+        joint_centrality(k, everyone)  # noise-free leaders need a follower
 
 
 def test_sigma_only_scales_error():

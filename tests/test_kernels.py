@@ -22,9 +22,8 @@ from leadsel import (
     oracle_error_gain,
     oracle_error_noise_free,
     path,
-    per_node_variance_spectral,
 )
-from leadsel.kernels import SpectralError, spd_inverse
+from leadsel.kernels import SpectralError, spd_inverse, system_matrix
 
 from conftest import rel_dev, seeded_random_graph
 
@@ -123,9 +122,11 @@ def test_gain_large_k_approaches_noise_free_suite():
 
 
 def test_spectral_variance_matches_inverse_route():
+    # Var(x_i) = sigma^2 sum_p |v_i^(p)|^2 / (2 lambda_p) over the eigenpairs of L + K
     g = erdos_renyi(8, 0.5, seed=7)
     leaders = LeaderSet((0, 3), Gain(2.0))
-    spectral = per_node_variance_spectral(g, leaders)
+    lam, vec = np.linalg.eigh(system_matrix(g, leaders)[0])
+    spectral = ((vec * vec) / (2.0 * lam)).sum(axis=1)
     dense = oracle_error_gain(g, leaders).per_node_variance
     assert np.abs(spectral / dense - 1.0).max() < 1e-9
 
@@ -133,14 +134,14 @@ def test_spectral_variance_matches_inverse_route():
 def test_spectral_variance_two_nodes_by_hand():
     # single edge, leader 0, k=1: M = [[2,-1],[-1,1]], diag of inverse (1, 2)
     g = Graph(2, ((0, 1),))
-    var = per_node_variance_spectral(g, LeaderSet((0,), Gain(1.0)))
+    var = oracle_error_gain(g, LeaderSet((0,), Gain(1.0))).per_node_variance
     assert np.allclose(var, [0.5, 1.0], atol=1e-12)
 
 
 def test_spectral_variance_respects_symmetry():
     # cycle automorphism i -> n - i fixes leader {0}
     n = 6
-    var = per_node_variance_spectral(cycle(n), LeaderSet((0,), Gain(1.5)))
+    var = oracle_error_gain(cycle(n), LeaderSet((0,), Gain(1.5))).per_node_variance
     for i in range(1, n):
         assert abs(var[i] - var[(n - i) % n]) < 1e-12
 
@@ -150,8 +151,6 @@ def test_mode_mismatch_rejected():
         oracle_error_noise_free(cycle(4), LeaderSet((0,), Gain(1.0)))
     with pytest.raises(GraphError):
         oracle_error_gain(cycle(4), LeaderSet((0,), NOISE_FREE))
-    with pytest.raises(GraphError):
-        per_node_variance_spectral(cycle(4), LeaderSet((0,), NOISE_FREE))
 
 
 def test_spd_inverse_rejects_singular_laplacian():
