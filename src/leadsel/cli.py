@@ -11,6 +11,10 @@ seed; timing lives outside the payload.
 
 Exit codes: 0 success, 2 input error, 3 evaluation budget exceeded,
 4 identity violation, 5 stability violation.
+
+Each command imports the modules it runs inside its handler, and the error
+classes come from ``graphs``, so a process loads only what its command
+needs: ``generate`` loads ``graphs`` alone.
 """
 
 import argparse
@@ -22,13 +26,16 @@ import sys
 import time
 
 from . import __version__
-from .centrality import centrality_report
 from .graphs import (
+    BudgetError,
     Gain,
     GraphError,
     LeaderSet,
     NOISE_FREE,
     Graph,
+    NumericalDegeneracyError,
+    SpectralError,
+    StabilityError,
     complete,
     cycle,
     erdos_renyi,
@@ -38,19 +45,6 @@ from .graphs import (
     path,
     serialize_edge_list,
 )
-from .joint import NumericalDegeneracyError
-from .kernels import SpectralError, compute_kernels
-from .selection import (
-    BudgetError,
-    closed_form_cycle,
-    closed_form_cycle_two,
-    closed_form_path_two,
-    exhaustive_select,
-    greedy_select,
-    pairwise_sweep,
-)
-from .simulate import SimConfig, StabilityError, simulate
-from .verify import DEFAULT_K_VALUES, verify_graph, verify_random_suite, verify_small_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -69,6 +63,8 @@ EXIT_CODES = {
 }
 
 SCHEMA_VERSION = "1"
+
+_NON_FINITE = "the report holds a non-finite number: an input is out of range"
 
 # Parsed fields that pick the command or say how and where to write the report
 _NOT_ECHOED = ("command", "func", "format", "out")
@@ -145,9 +141,24 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
+def _holds_non_finite(value) -> bool:
+    """Whether a report value holds a float that JSON cannot write."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any(map(_holds_non_finite, value))
+
+
 def _emit(args, graph, payload, rows, started):
     """Write the report as JSON, or its rows as CSV under a header of their
-    keys; a report holding a non-finite number is written in neither format."""
+    keys; a report holding a non-finite number is written in neither format.
+
+    The JSON encoder finds such a number as it writes; CSV mode checks the
+    report directly rather than encode a JSON text it does not write.
+    """
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": "leadsel",
@@ -158,11 +169,14 @@ def _emit(args, graph, payload, rows, started):
         "payload": payload,
         "timing_seconds": time.perf_counter() - started,
     }
-    try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        raise GraphError("the report holds a non-finite number: an input is out of range") from None
-    if args.format == "csv":
+    if args.format == "json":
+        try:
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            raise GraphError(_NON_FINITE) from None
+    else:
+        if _holds_non_finite(report):
+            raise GraphError(_NON_FINITE)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(rows[0].keys())
@@ -172,6 +186,9 @@ def _emit(args, graph, payload, rows, started):
 
 
 def _cmd_centrality(args):
+    from .centrality import centrality_report
+    from .kernels import compute_kernels
+
     g = _load_graph(args.graph)
     kernels = compute_kernels(g)
     rep = centrality_report(kernels, args.sigma)
@@ -192,6 +209,8 @@ def _cmd_centrality(args):
 
 
 def _closed_form(args, g, mode):
+    from .selection import closed_form_cycle, closed_form_cycle_two, closed_form_path_two
+
     if args.topology is None:
         raise GraphError("--method closed-form requires --topology {cycle,path}")
     if args.topology == "cycle":
@@ -210,6 +229,8 @@ def _closed_form(args, g, mode):
 
 
 def _cmd_select(args):
+    from .selection import exhaustive_select, greedy_select
+
     g = _load_graph(args.graph)
     mode = _mode_from(args)
     if args.method == "exhaustive":
@@ -258,6 +279,8 @@ def _read_pair_list(path_arg):
 
 
 def _cmd_pairs(args):
+    from .selection import pairwise_sweep
+
     g = _load_graph(args.graph)
     pairs = _read_pair_list(args.pair_list) if args.pair_list else None
     sweep = pairwise_sweep(g, pairs, budget=args.budget)
@@ -278,6 +301,10 @@ def _cmd_pairs(args):
 
 
 def _cmd_verify(args):
+    from .verify import DEFAULT_K_VALUES, verify_graph, verify_random_suite, verify_small_suite
+
+    if args.k_values is None:
+        args.k_values = DEFAULT_K_VALUES
     g = None
     if args.graph:
         g = _load_graph(args.graph)
@@ -306,6 +333,8 @@ def _cmd_verify(args):
 
 
 def _cmd_simulate(args):
+    from .simulate import SimConfig, simulate
+
     g = _load_graph(args.graph)
     try:
         members = tuple(int(t) for t in args.leaders.split(","))
@@ -394,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=1, help="random-suite seed")
     p.add_argument("--tol", type=_positive_float, default=1e-8, help="relative tolerance")
     p.add_argument("--m-max", type=_positive_int, default=3, help="largest leader-set size checked")
-    p.add_argument("--k-values", type=_float_list, default=DEFAULT_K_VALUES,
+    p.add_argument("--k-values", type=_float_list, default=None,
                    help="comma-separated gains (default 0.1,1,10,100)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)

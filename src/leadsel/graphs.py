@@ -36,6 +36,30 @@ class DisconnectedGraphError(GraphError):
     """The graph is not connected."""
 
 
+# The errors of the computing modules live here, beside GraphError, so that
+# the CLI can map them to exit codes without importing those modules.
+
+
+class SpectralError(RuntimeError):
+    """A factorization failed or the graph is too ill-conditioned to trust."""
+
+
+class NumericalDegeneracyError(RuntimeError):
+    """A matrix that is nonsingular in exact arithmetic degenerated numerically."""
+
+
+class BudgetError(RuntimeError):
+    """The requested enumeration exceeds the evaluation budget."""
+
+
+class StabilityError(RuntimeError):
+    """The explicit scheme would be (or became) unstable."""
+
+    def __init__(self, message, dt_bound=None):
+        super().__init__(message)
+        self.dt_bound = dt_bound
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected weighted connected graph.

@@ -25,15 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import inverse_info_centrality
-from .graphs import Gain, GraphError, LeaderSet, NOISE_FREE
+from .graphs import Gain, GraphError, LeaderSet, NOISE_FREE, NumericalDegeneracyError
 from .kernels import GraphKernels
 
 # |det| below this fraction of its Hadamard bound marks a suspect product
 _DET_WARN = 1e-12
-
-
-class NumericalDegeneracyError(RuntimeError):
-    """A matrix that is nonsingular in exact arithmetic degenerated numerically."""
 
 
 @dataclass(frozen=True)
@@ -75,10 +71,12 @@ def joint_centrality(
     lp = kernels.lplus
     n = kernels.n
     rest = [v for v in members if v != pivot]
-    grounded = n_inverse_entries(kernels, pivot)[rest][:, rest]
+    lpp = lp[pivot, pivot]
+    # the block of n_inverse_entries(kernels, pivot) over R, gathered directly
+    col = lp[rest, pivot]
+    grounded = lp[rest][:, rest] - col[:, None] - col[None, :] + lpp
     diffs = lp[:, [pivot]] - lp[:, rest]
     f = diffs[pivot]
-    lpp = lp[pivot, pivot]
     # A huge u (a tiny gain) overflows det to inf or nan, which the check below raises on.
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(mode, Gain):

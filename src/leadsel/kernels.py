@@ -2,24 +2,27 @@
 
 ``compute_kernels`` produces the pseudoinverse L+, the squared-Laplacian
 pseudoinverse (L^2)+ = (L+)^2 and the Kirchhoff index from one grounded
-Laplacian inverse. The two oracle functions compute the steady-state
-tracking error of the leader-follower consensus dynamics by dense symmetric
-factorization, deliberately not reusing any of the closed-form centrality
-machinery, so they can serve as an independent check on it.
+Laplacian inverse. The oracle computes the steady-state tracking error of
+the leader-follower consensus dynamics by dense symmetric factorization,
+deliberately not reusing any of the closed-form centrality machinery, so it
+can serve as an independent check on it. ``oracle_errors`` is the oracle: it
+scores a whole stack of leader sets in one leader mode, a chunk of matrices
+per factorization; ``oracle_error_noise_free`` and ``oracle_error_gain`` are
+its one-set calls.
 
-``system_matrix`` assembles the matrix those oracles invert, the grounded
-Laplacian or L + K, in one place for every caller.
+``system_matrix`` assembles the matrix the oracle inverts, the grounded
+Laplacian or L + K, for one leader set; the oracle assembles its stacks by
+the same routine.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Gain, Graph, GraphError, LeaderSet, NoiseFree, laplacian
+from .graphs import Gain, Graph, GraphError, LeaderSet, NoiseFree, SpectralError, laplacian
 
-
-class SpectralError(RuntimeError):
-    """A factorization failed or the graph is too ill-conditioned to trust."""
+# matrix entries per stacked factorization: 2^16 float64s (512 KiB), 47 systems of 37 x 37
+_STACK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,19 @@ class ErrorReport:
     sigma: float
 
 
-def _check_mode(leaders, mode_cls):
-    if not isinstance(leaders.mode, mode_cls):
-        raise GraphError(
-            f"leader set mode is {type(leaders.mode).__name__}, expected {mode_cls.__name__}"
-        )
+def _system_stack(lap, sets, mode):
+    """System matrices of a (c, m) stack of leader sets, and the nodes each acts on."""
+    c, m = sets.shape
+    n = len(lap)
+    if isinstance(mode, NoiseFree):
+        # a mask, unlike np.setdiff1d, does not import numpy.ma, which slows a cold CLI start
+        keep = np.ones((c, n), dtype=bool)
+        keep[np.arange(c)[:, None], sets] = False
+        nodes = np.nonzero(keep)[1].reshape(c, n - m)
+        return lap[nodes[:, :, None], nodes[:, None, :]], nodes
+    mats = np.repeat(lap[None], c, axis=0)
+    mats[np.arange(c)[:, None], sets, sets] += mode.k
+    return mats, np.broadcast_to(np.arange(n), (c, n))
 
 
 def system_matrix(g: Graph, leaders: LeaderSet):
@@ -88,18 +99,12 @@ def system_matrix(g: Graph, leaders: LeaderSet):
     L + K with K = k at the leader diagonal entries, over all nodes.
     """
     leaders.check_against(g.n)
-    mat = laplacian(g)
-    if isinstance(leaders.mode, NoiseFree):
-        # np.delete, unlike np.setdiff1d, does not import numpy.ma, which slows a cold CLI start
-        nodes = np.delete(np.arange(g.n), leaders.members)
-        return mat[np.ix_(nodes, nodes)], nodes
-    members = list(leaders.members)
-    mat[members, members] += leaders.mode.k
-    return mat, np.arange(g.n)
+    mats, nodes = _system_stack(laplacian(g), np.array([leaders.members]), leaders.mode)
+    return mats[0], nodes[0]
 
 
 def spd_inverse(mat, what):
-    """Inverse of a symmetric positive definite matrix.
+    """Inverse of a symmetric positive definite matrix, or of each in a stack.
 
     The Cholesky factorization is the positive-definiteness test; a matrix
     that fails it is numerically singular (or indefinite) and raises
@@ -112,35 +117,72 @@ def spd_inverse(mat, what):
         raise SpectralError(f"{what} is numerically singular: {exc}") from exc
 
 
+def oracle_errors(g: Graph, sets, mode, sigma: float = 1.0):
+    """Tracking errors of a stack of leader sets in one leader mode.
+
+    ``sets`` is a (c, m) array, one leader set per row. Each set's error is
+    (sigma^2 / 2) * tr(M^-1) for its system matrix M (``system_matrix``),
+    and the per-node variances are the diagonal of (sigma^2 / 2) M^-1, zero
+    at noise-free leaders. The matrices are built from one ``laplacian(g)``
+    and handled a chunk of about _STACK_ELEMENTS entries at a time: one
+    stacked Cholesky factorization as the positive-definiteness test, then
+    one stacked inverse. Returns the totals, shape (c,), and the per-node
+    variances, shape (c, n); row i equals the one-set oracle of set i.
+    """
+    sets = np.asarray(sets, dtype=np.intp)
+    c, m = sets.shape
+    LeaderSet(range(m), mode).check_against(g.n)  # the mode and the set size
+    ordered = np.sort(sets, axis=1)
+    if c and (ordered[:, 0].min() < 0 or ordered[:, -1].max() >= g.n
+              or np.any(ordered[:, 1:] == ordered[:, :-1])):
+        raise GraphError(f"every leader set needs {m} distinct node ids in 0..{g.n - 1}")
+    return _stack_errors(g, sets, mode, sigma)
+
+
+def _stack_errors(g, sets, mode, sigma):
+    """``oracle_errors`` of sets already checked against g and mode."""
+    c, m = sets.shape
+    lap = laplacian(g)
+    what = "grounded Laplacian" if isinstance(mode, NoiseFree) else "L + K"
+    scale = 0.5 * sigma * sigma
+    var = np.zeros((c, g.n))
+    dim = g.n - m if isinstance(mode, NoiseFree) else g.n
+    rows = max(1, _STACK_ELEMENTS // (dim * dim))
+    # a finite sigma^2 can still overflow the sum to inf, which a report refuses to emit
+    with np.errstate(over="ignore"):
+        for start in range(0, c, rows):
+            mats, nodes = _system_stack(lap, sets[start:start + rows], mode)
+            inv = spd_inverse(mats, what)
+            var[np.arange(start, start + len(mats))[:, None], nodes] = scale * np.diagonal(inv, axis1=1, axis2=2)
+        return var.sum(axis=1), var
+
+
+def _one_set(g, leaders, mode_cls, sigma):
+    if not isinstance(leaders.mode, mode_cls):
+        raise GraphError(
+            f"leader set mode is {type(leaders.mode).__name__}, expected {mode_cls.__name__}"
+        )
+    leaders.check_against(g.n)
+    totals, var = _stack_errors(g, np.array([leaders.members]), leaders.mode, sigma)
+    return ErrorReport(float(totals[0]), var[0], sigma)
+
+
 def oracle_error_noise_free(g: Graph, leaders: LeaderSet, sigma: float = 1.0) -> ErrorReport:
     """Tracking error with leaders pinned to the signal (grounded Laplacian).
 
     Deleting the leader rows/columns of L leaves the follower submatrix L_F;
     the total error is (sigma^2 / 2) * tr(L_F^-1), follower variances are the
-    matching diagonal entries and leader variances are exactly zero.
+    matching diagonal entries and leader variances are exactly zero. A
+    one-set call of ``oracle_errors``.
     """
-    _check_mode(leaders, NoiseFree)
-    sub, followers = system_matrix(g, leaders)
-    inv = spd_inverse(sub, "grounded Laplacian")
-    var = np.zeros(g.n)
-    # a finite sigma^2 can still overflow the sum to inf, which a report refuses to emit
-    with np.errstate(over="ignore"):
-        var[followers] = 0.5 * sigma * sigma * np.diag(inv)
-        total = float(var.sum())
-    return ErrorReport(total, var, sigma)
+    return _one_set(g, leaders, NoiseFree, sigma)
 
 
 def oracle_error_gain(g: Graph, leaders: LeaderSet, sigma: float = 1.0) -> ErrorReport:
     """Tracking error with finite-gain leaders: (sigma^2 / 2) * tr((L + K)^-1).
 
     K is diagonal with k at leader nodes; the Lyapunov solution for the
-    symmetric system matrix is Sigma = (sigma^2 / 2) * (L + K)^-1.
+    symmetric system matrix is Sigma = (sigma^2 / 2) * (L + K)^-1. A one-set
+    call of ``oracle_errors``.
     """
-    _check_mode(leaders, Gain)
-    mat, _ = system_matrix(g, leaders)
-    inv = spd_inverse(mat, "L + K")
-    with np.errstate(over="ignore"):
-        var = 0.5 * sigma * sigma * np.diag(inv).copy()
-        total = float(var.sum())
-    return ErrorReport(total, var, sigma)
-
+    return _one_set(g, leaders, Gain, sigma)

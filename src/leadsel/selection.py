@@ -31,17 +31,13 @@ import numpy as np
 
 from . import graphs
 from .centrality import inverse_info_centrality
-from .graphs import Gain, Graph, GraphError, LeaderSet, NOISE_FREE, NoiseFree
+from .graphs import BudgetError, Gain, Graph, GraphError, LeaderSet, NOISE_FREE, NoiseFree
 from .joint import _pair_kernel, joint_centrality, single_leader_error
 from .kernels import compute_kernels, spd_inverse, system_matrix
 
 TIE_TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 4096
-
-
-class BudgetError(RuntimeError):
-    """The requested enumeration exceeds the evaluation budget."""
 
 
 class ClosedFormError(GraphError):

@@ -25,19 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, LeaderSet, NoiseFree
+from .graphs import Graph, GraphError, LeaderSet, NoiseFree, StabilityError
 from .kernels import oracle_error_gain, oracle_error_noise_free, system_matrix
 
 # noise values per block: 2^16 float64s (512 KiB), 1,638 rows at dim 40
 _BLOCK_ELEMENTS = 1 << 16
-
-
-class StabilityError(RuntimeError):
-    """The explicit scheme would be (or became) unstable."""
-
-    def __init__(self, message, dt_bound=None):
-        super().__init__(message)
-        self.dt_bound = dt_bound
 
 
 @dataclass(frozen=True)

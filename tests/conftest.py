@@ -9,11 +9,17 @@ from leadsel import (
     NOISE_FREE,
     Objective,
     SelectionResult,
+    VerifyReport,
+    compute_kernels,
+    joint_centrality,
+    joint_centrality_two_gain,
     oracle_error_gain,
     oracle_error_noise_free,
 )
 from leadsel.graphs import DisconnectedGraphError, _gnp_edges
+from leadsel.kernels import oracle_errors
 from leadsel.selection import TIE_TOL
+from leadsel.verify import DEFAULT_K_VALUES, DEFAULT_TOL, IdentityViolation
 
 
 def rel_dev(a, b):
@@ -63,15 +69,46 @@ def seeded_random_graph(rng, n, p=0.5, weighted=False):
 
 def oracle_select(g, m, mode=NOISE_FREE):
     """Reference enumeration: every m-subset within TIE_TOL of the least
-    dense-oracle error, by a plain loop over itertools.combinations."""
-    oracle = oracle_error_gain if isinstance(mode, Gain) else oracle_error_noise_free
-    errors = [(s, oracle(g, LeaderSet(s, mode)).total_error)
-              for s in itertools.combinations(range(g.n), m)]
-    best = min(e for _, e in errors)
+    dense-oracle error, all of itertools.combinations scored by one stacked
+    oracle call."""
+    sets = list(itertools.combinations(range(g.n), m))
+    errors = oracle_errors(g, sets, mode)[0].tolist()
+    best = min(errors)
     return SelectionResult(
-        optimal_sets=tuple(s for s, e in errors if e <= best * (1.0 + TIE_TOL)),
+        optimal_sets=tuple(s for s, e in zip(sets, errors) if e <= best * (1.0 + TIE_TOL)),
         objective=Objective(rho=g.n / (2.0 * best), total_error=best),
         method="oracle",
         evaluated_count=len(errors),
         m=m,
     )
+
+
+def verify_graph_reference(g, *, label="graph", m_max=3, k_values=DEFAULT_K_VALUES, tol=DEFAULT_TOL,
+                           sigma=1.0):
+    """Reference for ``verify_graph``: a plain loop that checks one set at a
+    time against the one-set oracles, the closed form of each check first."""
+    kernels = compute_kernels(g)
+    worst_nf = 0.0
+    worst_gain = 0.0
+    checks = 0
+    violations = []
+    for m in range(1, min(m_max, g.n - 1) + 1):
+        for members in itertools.combinations(range(g.n), m):
+            implied = joint_centrality(kernels, members, sigma=sigma).implied_total_error
+            oracle = oracle_error_noise_free(g, LeaderSet(members, NOISE_FREE), sigma).total_error
+            dev = abs(implied - oracle) / oracle
+            worst_nf = max(worst_nf, dev)
+            checks += 1
+            if dev > tol:
+                violations.append(IdentityViolation(label, members, None, dev))
+    if g.n >= 3:
+        for s1, s2 in itertools.combinations(range(g.n), 2):
+            for k in k_values:
+                implied = joint_centrality_two_gain(kernels, s1, s2, k, sigma).implied_total_error
+                oracle = oracle_error_gain(g, LeaderSet((s1, s2), Gain(k)), sigma).total_error
+                dev = abs(implied - oracle) / oracle
+                worst_gain = max(worst_gain, dev)
+                checks += 1
+                if dev > tol:
+                    violations.append(IdentityViolation(label, (s1, s2), k, dev))
+    return VerifyReport(worst_nf, worst_gain, checks, tuple(violations), tol)

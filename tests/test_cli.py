@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import leadsel
 from leadsel import LeaderSet, SimConfig, cycle, parse_edge_list, simulate
-from leadsel.cli import build_parser, main
+from leadsel.cli import _holds_non_finite, build_parser, main
+from leadsel.verify import DEFAULT_K_VALUES
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,6 +127,10 @@ def test_parameters_echo_parsed_options(cycle6, capsys, argv, options):
     argv = [argv[0], cycle6, *argv[1:]]
     report = run_json(capsys, *argv)
     parsed = vars(build_parser().parse_args(argv))
+    if argv[0] == "verify":
+        # the parser leaves --k-values unset, so that building it loads no verify module
+        assert parsed["k_values"] is None
+        parsed["k_values"] = DEFAULT_K_VALUES
     assert set(report["parameters"]) == options
     for key in options:
         assert report["parameters"][key] == json.loads(json.dumps(parsed[key]))
@@ -506,6 +511,14 @@ def test_sigma_squaring_to_zero_exit_2(cycle6, capsys, command):
 def test_nonfinite_report_is_not_written(cycle6, capsys, command, fmt):
     argv = [command[0], cycle6, *command[1:], "--format", fmt]
     assert input_error(capsys, *argv) == 2
+
+
+def test_non_finite_check_walks_the_whole_report():
+    # CSV mode checks the report directly instead of encoding it as JSON
+    assert not _holds_non_finite({"a": [1, 2.5, (3, -0.0)], "b": {"c": None, "d": "nan"}, "e": 10**400})
+    for bad in (math.nan, math.inf, -math.inf):
+        assert _holds_non_finite({"a": [1.0, {"b": (2.0, [bad])}]})
+        assert _holds_non_finite({"timing": bad})
 
 
 # Special values, then bounded draws; the options are given as --opt=value so

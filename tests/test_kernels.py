@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -23,7 +24,8 @@ from leadsel import (
     oracle_error_noise_free,
     path,
 )
-from leadsel.kernels import SpectralError, spd_inverse, system_matrix
+from leadsel import kernels as kernels_module
+from leadsel.kernels import SpectralError, oracle_errors, spd_inverse, system_matrix
 
 from conftest import rel_dev, seeded_random_graph
 
@@ -151,6 +153,62 @@ def test_mode_mismatch_rejected():
         oracle_error_noise_free(cycle(4), LeaderSet((0,), Gain(1.0)))
     with pytest.raises(GraphError):
         oracle_error_gain(cycle(4), LeaderSet((0,), NOISE_FREE))
+
+
+def _one_set_reference(g, members, mode, sigma):
+    """The dense trace of one system matrix, summed over all n nodes."""
+    mat, nodes = system_matrix(g, LeaderSet(members, mode))
+    var = np.zeros(g.n)
+    var[nodes] = 0.5 * sigma * sigma * np.diag(np.linalg.inv(mat))
+    return float(var.sum()), var
+
+
+def _assert_rows_match_one_set_calls(g, sets, mode, sigma):
+    totals, var = oracle_errors(g, sets, mode, sigma)
+    assert totals.shape == (len(sets),) and var.shape == (len(sets), g.n)
+    one_set = oracle_error_noise_free if mode == NOISE_FREE else oracle_error_gain
+    for members, total, row in zip(sets, totals.tolist(), var):
+        report = one_set(g, LeaderSet(members, mode), sigma)
+        assert total == report.total_error and np.array_equal(row, report.per_node_variance)
+        ref_total, ref_var = _one_set_reference(g, members, mode, sigma)
+        assert total == ref_total and np.array_equal(row, ref_var)
+
+
+@pytest.mark.parametrize("mode", [NOISE_FREE, Gain(0.8)], ids=["noise-free", "gain"])
+def test_oracle_errors_rows_match_one_set_calls_across_chunks(monkeypatch, mode):
+    # 3 systems per chunk and 56 sets, so the last chunk is partial; members in any order
+    g = erdos_renyi(8, 0.5, seed=4)
+    sets = [tuple(reversed(s)) if i % 2 else s for i, s in enumerate(itertools.combinations(range(8), 3))]
+    dim = 5 if mode == NOISE_FREE else 8
+    monkeypatch.setattr(kernels_module, "_STACK_ELEMENTS", 3 * dim * dim + 1)
+    _assert_rows_match_one_set_calls(g, sets, mode, 1.3)
+    monkeypatch.setattr(kernels_module, "_STACK_ELEMENTS", 1)
+    _assert_rows_match_one_set_calls(g, sets[:7], mode, 1.3)
+
+
+def test_oracle_errors_rows_match_one_set_calls_default_chunks():
+    # 780 pairs of 40 x 40 systems fill 20 chunks of the default size
+    g = erdos_renyi(40, 0.3, seed=1)
+    assert kernels_module._STACK_ELEMENTS // (40 * 40) < 780
+    _assert_rows_match_one_set_calls(g, list(itertools.combinations(range(40), 2)), Gain(3.0), 1.0)
+
+
+def test_oracle_errors_failing_cholesky_raises_spectral_error():
+    # 1e16 + 1 rounds to 1e16, so the grounded Laplacian of leader 3 holds the singular
+    # block 1e16 [[1, -1], [-1, 1]], while leader 0 cuts the edge off; one stack holds both
+    g = Graph(5, ((0, 1, 1e16), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 1.0)))
+    assert oracle_errors(g, [(0,)], NOISE_FREE)[0][0] > 0.0
+    with pytest.raises(SpectralError, match="grounded Laplacian is numerically singular"):
+        oracle_errors(g, [(0,), (3,)], NOISE_FREE)
+
+
+@pytest.mark.parametrize("sets, mode", [
+    ([(0, 4)], NOISE_FREE), ([(0, -1)], NOISE_FREE), ([(0, 1), (2, 2)], NOISE_FREE),
+    ([(0, 1, 2, 3)], NOISE_FREE), ([(0,)], None),
+])
+def test_oracle_errors_rejects_bad_sets(sets, mode):
+    with pytest.raises(GraphError):
+        oracle_errors(cycle(4), sets, mode)
 
 
 def test_spd_inverse_rejects_singular_laplacian():
