@@ -11,6 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# unreached node ids that a DisconnectedGraphError message lists
+_LISTED_UNREACHED = 10
+
 
 class GraphError(ValueError):
     """Invalid graph input or construction."""
@@ -105,9 +108,10 @@ class Graph:
         object.__setattr__(self, "edges", tuple(norm))
         unreached = _unreached_nodes(self.n, self.edges)
         if unreached:
-            raise DisconnectedGraphError(
-                f"graph is disconnected: nodes {sorted(unreached)} unreachable from node 0"
-            )
+            listed = ", ".join(map(str, unreached[:_LISTED_UNREACHED]))
+            if len(unreached) > _LISTED_UNREACHED:
+                listed += f", ... ({len(unreached)} in all)"
+            raise DisconnectedGraphError(f"graph is disconnected: nodes [{listed}] unreachable from node 0")
 
     @property
     def edge_count(self):

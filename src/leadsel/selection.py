@@ -32,12 +32,14 @@ import numpy as np
 from . import graphs
 from .centrality import inverse_info_centrality
 from .graphs import BudgetError, Gain, Graph, GraphError, LeaderSet, NOISE_FREE, NoiseFree
-from .joint import _pair_kernel, joint_centrality, single_leader_error
-from .kernels import compute_kernels, spd_inverse, system_matrix
+from .joint import _pair_kernel, joint_centrality, n_inverse_entries, single_leader_error
+from .kernels import compute_kernels
 
 TIE_TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 4096
+# pairs per slice of pairwise_sweep, so its float temporaries stay 256 KiB each
+_PAIR_CHUNK = 1 << 15
 
 
 class ClosedFormError(GraphError):
@@ -139,12 +141,15 @@ def _first_near_min(values) -> int:
 def greedy_select(g: Graph, m: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> SelectionResult:
     """Grow the leader set one node at a time, taking the largest error drop.
 
-    The first pick is the most central node: the single-leader trace is
-    n / c_v (plus n/k with gain k), read from the kernels. After that one
-    inverse B of the system matrix is kept up to date by rank one
-    (Lin, Fardad & Jovanovic, IEEE TAC 2014), scoring all candidates j at
-    once. Noise-free: pinning j drops the trace by ||B[:, j]||^2 / B[j, j],
-    and B loses row and column j. Gain k: adding k at j drops it by
+    The first pick p is the most central node: the single-leader trace is
+    n / c_v (plus n/k with gain k), read from the kernels. The inverse B of
+    its system matrix is read from L+ as well, by way of the pivot-grounded
+    Gram matrix N_p = L+ - L+[:, p] - L+[p, :] + L+[p, p]
+    (``n_inverse_entries``): noise-free, N_p without row and column p; gain
+    k, N_p + 11^T / k. After that B is kept up to date by rank one (Lin,
+    Fardad & Jovanovic, IEEE TAC 2014), scoring all candidates j at once.
+    Noise-free: pinning j drops the trace by ||B[:, j]||^2 / B[j, j], and B
+    loses row and column j. Gain k: adding k at j drops it by
     k ||B[:, j]||^2 / (1 + k B[j, j]) (Sherman-Morrison). Cost
     O(n^3 + m n^2). Ties within TIE_TOL go to the lowest node id. Matches
     the optimum on cycles only when m is a power of two.
@@ -152,14 +157,21 @@ def greedy_select(g: Graph, m: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> S
     if not 1 <= m < g.n:
         raise GraphError(f"need 1 <= m < n, got m={m}, n={g.n}")
     n = g.n
+    LeaderSet((0,), mode)  # raises GraphError on a mode that is neither NoiseFree nor Gain
     k = mode.k if isinstance(mode, Gain) else None
-    traces = n * inverse_info_centrality(compute_kernels(g))
+    kernels = compute_kernels(g)
+    traces = n * inverse_info_centrality(kernels)
     if k is not None:
         traces += n / k
     best = _first_near_min(traces)
     leaders = [best]
-    mat, nodes = system_matrix(g, LeaderSet((best,), mode))
-    b = spd_inverse(mat, "system matrix")
+    nodes = np.arange(n)
+    b = n_inverse_entries(kernels, best)
+    if k is None:
+        b = np.delete(np.delete(b, best, axis=0), best, axis=1)
+        nodes = np.delete(nodes, best)
+    else:
+        b += 1.0 / k
     for _ in range(1, m):
         col_sq = (b * b).sum(axis=0)
         diag = np.diag(b)
@@ -321,9 +333,10 @@ def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernel
     The full sweep scores every pair i < j in row-major order, straight from
     np.triu_indices; a given list is scored in its order, each pair sorted.
     ``pairs`` on the result is a NodePairs over the two index arrays.
-    Vectorised over the whole L+ / (L^2)+ tables; errors out when the number
-    of pairs exceeds the evaluation budget. A noise-free pair needs a
-    follower, so the graph needs n >= 3.
+    Scored by the pair kernel of ``joint`` _PAIR_CHUNK pairs at a time into
+    one preallocated rho, so the kernel's temporaries do not grow with the
+    sweep; errors out when the number of pairs exceeds the evaluation
+    budget. A noise-free pair needs a follower, so the graph needs n >= 3.
     """
     n = g.n
     if n < 3:
@@ -344,8 +357,11 @@ def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernel
         if not pairs:
             raise GraphError("the pair list is empty")
         ii, jj = np.array(pairs, dtype=np.intp).T
-    n_over_rho = _pair_kernel(kernels, ii, jj, 0.0)
-    return PairSweep(n=n, pairs=NodePairs(ii, jj), rho=n / n_over_rho)
+    rho = np.empty(len(ii))
+    for start in range(0, len(ii), _PAIR_CHUNK):
+        part = slice(start, start + _PAIR_CHUNK)
+        rho[part] = n / _pair_kernel(kernels, ii[part], jj[part], 0.0)
+    return PairSweep(n=n, pairs=NodePairs(ii, jj), rho=rho)
 
 
 def tridiagonal_chain_trace(w: int) -> float:

@@ -1,5 +1,7 @@
 import itertools
+from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 
 from leadsel import (
@@ -65,6 +67,37 @@ def seeded_random_graph(rng, n, p=0.5, weighted=False):
             return Graph(n, _gnp_edges(rng, n, p, weighted))
         except DisconnectedGraphError:
             continue
+
+
+def weight_spread_graph(spread, n=14, p=0.4, rng=None):
+    """Conditioning ladder: log-uniform weights over [1, spread] on G(n, p),
+    by default the seeded G(14, 0.4)."""
+    rng = np.random.default_rng(101) if rng is None else rng
+    base = seeded_random_graph(rng, n, p=p)
+    weights = spread ** rng.uniform(0.0, 1.0, size=base.edge_count)
+    return Graph(n, tuple((u, v, float(w)) for (u, v, _), w in zip(base.edges, weights)))
+
+
+def exact_gain_error(g, members, k):
+    """(1/2) tr((L + K)^-1) in exact rationals: L from the edge weights as
+    fractions, inverted by Gauss-Jordan."""
+    n = g.n
+    a = [[Fraction(0)] * n + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for u, v, w in g.edges:
+        w = Fraction(w)
+        a[u][v] -= w
+        a[v][u] -= w
+        a[u][u] += w
+        a[v][v] += w
+    for s in members:
+        a[s][s] += Fraction(k)
+    for c in range(n):  # L + K is positive definite, so every pivot is nonzero
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return float(sum(a[i][n + i] for i in range(n)) / 2)
 
 
 def oracle_select(g, m, mode=NOISE_FREE):

@@ -157,6 +157,20 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_disconnected_graph_message_is_bounded(tmp_path, capsys):
+    # 99,998 unreached nodes: the message lists ten of them and the count
+    big = tmp_path / "big.edges"
+    big.write_text("n=100000\n0 1\n")
+    code, out, err = run(capsys, "centrality", str(big))
+    assert code == 2 and not out
+    assert len(err.encode()) < 1024
+    assert "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, ... (99998 in all)]" in err
+    small = tmp_path / "small.edges"
+    small.write_text("n=5\n0 1\n")
+    code, _, err = run(capsys, "centrality", str(small))
+    assert code == 2 and "nodes [2, 3, 4] unreachable from node 0" in err
+
+
 def test_select_exhaustive_cycle6(cycle6, capsys):
     report = run_json(capsys, "select", cycle6, "--m", "3")
     payload = report["payload"]

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from leadsel import (
 )
 from leadsel.suites import connected_graph_atlas
 
-from conftest import connected_graphs, rel_dev, seeded_random_graph
+from conftest import connected_graphs, exact_gain_error, rel_dev, seeded_random_graph, weight_spread_graph
 
 
 def test_n_inverse_entries_structure():
@@ -202,17 +201,9 @@ def test_implied_error_matches_oracle_random(g, data):
     assert rel_dev(implied, oracle) < 1e-8
 
 
-def _weight_spread_graph(spread):
-    """Conditioning ladder: log-uniform weights over [1, spread] on G(14, 0.4)."""
-    rng = np.random.default_rng(101)
-    base = seeded_random_graph(rng, 14, p=0.4)
-    weights = spread ** rng.uniform(0.0, 1.0, size=base.edge_count)
-    return Graph(14, tuple((u, v, float(w)) for (u, v, _), w in zip(base.edges, weights)))
-
-
 @pytest.mark.parametrize("spread", [1e3, 1e6, 1e9])
 def test_implied_error_matches_oracle_under_weight_spread(spread):
-    g = _weight_spread_graph(spread)
+    g = weight_spread_graph(spread)
     k = compute_kernels(g)
     for m in (1, 2, 3):
         for members in itertools.combinations(range(g.n), m):
@@ -221,38 +212,16 @@ def test_implied_error_matches_oracle_under_weight_spread(spread):
             assert rel_dev(closed, exact) < 1e-8, (members, closed, exact)
 
 
-def _exact_gain_error(g, members, k):
-    """(1/2) tr((L + K)^-1) in exact rationals: L from the edge weights as
-    fractions, inverted by Gauss-Jordan."""
-    n = g.n
-    a = [[Fraction(0)] * n + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for u, v, w in g.edges:
-        w = Fraction(w)
-        a[u][v] -= w
-        a[v][u] -= w
-        a[u][u] += w
-        a[v][v] += w
-    for s in members:
-        a[s][s] += Fraction(k)
-    for c in range(n):  # L + K is positive definite, so every pivot is nonzero
-        a[c] = [x / a[c][c] for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return float(sum(a[i][n + i] for i in range(n)) / 2)
-
-
 def test_gain_joint_centrality_matches_exact_rationals_under_weight_spread():
     # the dense oracle is only good to about 1e-7 here; the formula is exact to rounding
-    g = _weight_spread_graph(1e9)
+    g = weight_spread_graph(1e9)
     kernels = compute_kernels(g)
     rng = np.random.default_rng(103)
     for _ in range(4):
         members = tuple(rng.choice(g.n, 3, replace=False).tolist())
         for gain in (0.3, 3.0):
             closed = joint_centrality(kernels, members, mode=Gain(gain)).implied_total_error
-            exact = _exact_gain_error(g, members, gain)
+            exact = exact_gain_error(g, members, gain)
             assert rel_dev(closed, exact) < 1e-12, (members, gain, closed, exact)
 
 

@@ -22,12 +22,14 @@ from leadsel import (
     laplacian,
     oracle_error_gain,
     oracle_error_noise_free,
+    pairwise_sweep,
     path,
+    single_leader_error,
 )
 from leadsel import kernels as kernels_module
 from leadsel.kernels import SpectralError, oracle_errors, spd_inverse, system_matrix
 
-from conftest import rel_dev, seeded_random_graph
+from conftest import rel_dev, seeded_random_graph, weight_spread_graph
 
 
 def test_complete3_pseudoinverse_closed_form():
@@ -215,6 +217,74 @@ def test_spd_inverse_rejects_singular_laplacian():
     # the ungrounded Laplacian has the zero mode 1, so it is not positive definite
     with pytest.raises(SpectralError, match="singular"):
         spd_inverse(laplacian(cycle(5)), "Laplacian")
+
+
+def _grounded(d, seed):
+    """Grounded Laplacian, d x d, of a weighted G(d + 1, 8 / d)."""
+    g = seeded_random_graph(np.random.default_rng(seed), d + 1, p=min(1.0, 8.0 / d), weighted=True)
+    return laplacian(g)[1:, 1:]
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 64, 127, 128])
+def test_spd_inverse_up_to_direct_rows_is_lapack_inverse(d):
+    assert d <= kernels_module._DIRECT_ROWS
+    a = _grounded(d, d) if d > 1 else np.array([[2.5]])
+    assert np.array_equal(spd_inverse(a, "grounded Laplacian"), np.linalg.inv(a))
+    stack = np.stack([a, a + np.eye(d)])
+    assert np.array_equal(spd_inverse(stack, "grounded Laplacian"), np.linalg.inv(stack))
+
+
+@pytest.mark.parametrize("d", [129, 130, 131, 257, 301, 1000])
+def test_spd_inverse_by_blocks_matches_lapack_inverse(d):
+    a = _grounded(d, d)
+    lu = np.linalg.inv(a)
+    inv = spd_inverse(a, "grounded Laplacian")
+    assert np.abs(inv - lu).max() <= 1e-12 * np.abs(lu).max()
+    if d <= 301:  # a stack gives each matrix's own inverse, bit for bit
+        stack = spd_inverse(np.stack([a, a + np.eye(d)]), "grounded Laplacian")
+        assert np.array_equal(stack[0], inv)
+        assert np.array_equal(stack[1], spd_inverse(a + np.eye(d), "grounded Laplacian"))
+
+
+@pytest.mark.parametrize("spread", [1e3, 1e6, 1e9])
+def test_kernels_by_blocks_match_oracle_under_weight_spread(spread):
+    # n = 300 inverts the grounded Laplacian by blocks; log-uniform weights over [1, spread]
+    rng = np.random.default_rng(int(np.log10(spread)))
+    g = weight_spread_graph(spread, n=300, p=6.0 / 300, rng=rng)
+    k = compute_kernels(g)
+    nodes = rng.choice(300, 12, replace=False)
+    oracle = oracle_errors(g, nodes[:, None], NOISE_FREE)[0]
+    closed = np.array([single_leader_error(k, int(v)) for v in nodes])
+    assert np.abs(closed - oracle).max() < 1e-8 * oracle.min()
+    direct = [0.5 * np.trace(np.linalg.inv(system_matrix(g, LeaderSet((int(v),)))[0])) for v in nodes]
+    assert np.abs(direct - oracle).max() < 1e-8 * oracle.min()
+    sweep = pairwise_sweep(g, kernels=k)
+    picks = rng.choice(len(sweep.pairs), 12, replace=False)
+    oracle = oracle_errors(g, [sweep.pairs[i] for i in picks], NOISE_FREE)[0]
+    assert np.abs(150.0 / sweep.rho[picks] - oracle).max() < 1e-8 * oracle.min()
+
+
+def test_spd_inverse_by_blocks_rejects_non_positive_definite():
+    # the Laplacian's zero mode shifted to -0.1, then one matrix of a stack with a negative pivot
+    with pytest.raises(SpectralError, match="Laplacian is numerically singular"):
+        spd_inverse(laplacian(cycle(200)) - 0.1 * np.eye(200), "Laplacian")
+    indefinite = _grounded(150, 3)
+    indefinite[140, 140] = -1.0
+    with pytest.raises(SpectralError, match="numerically singular"):
+        spd_inverse(np.stack([_grounded(150, 4), indefinite]), "system matrix")
+
+
+@pytest.mark.parametrize("mode", [NOISE_FREE, Gain(0.8)], ids=["noise-free", "gain"])
+def test_oracle_errors_rows_above_direct_rows_match_one_set_calls(mode):
+    # 140 x 140 and larger systems, three to a chunk, so 7 sets span three chunks
+    g = erdos_renyi(145, 0.06, seed=2)
+    sets = [(0, 3), (5, 1), (144, 70), (9, 10), (33, 2), (100, 101), (7, 140)]
+    totals, var = oracle_errors(g, sets, mode, 0.9)
+    one_set = oracle_error_noise_free if mode == NOISE_FREE else oracle_error_gain
+    for members, total, row in zip(sets, totals.tolist(), var):
+        report = one_set(g, LeaderSet(members, mode), 0.9)
+        assert total == report.total_error and np.array_equal(row, report.per_node_variance)
+        assert rel_dev(total, _one_set_reference(g, members, mode, 0.9)[0]) < 1e-12
 
 
 @pytest.mark.parametrize("weight", [1e16, 1e100, 1e300])

@@ -31,8 +31,10 @@ from leadsel import (
     path,
     tridiagonal_chain_trace,
 )
+from leadsel import selection as selection_module
 from leadsel.joint import _pair_kernel
-from conftest import oracle_select, rel_dev, seeded_random_graph
+from leadsel.kernels import oracle_errors
+from conftest import exact_gain_error, oracle_select, rel_dev, seeded_random_graph, weight_spread_graph
 
 
 def test_exhaustive_cycle4_pairs():
@@ -140,14 +142,13 @@ def _oracle_total_error(g, members, mode):
 
 def _greedy_reference(g, m, mode):
     """Oracle-driven greedy: each step takes the dense oracle's argmin over the
-    remaining nodes, lowest id within 1e-9."""
+    remaining nodes, lowest id within 1e-9, scored by one stacked oracle call."""
     chosen, evaluated = [], 0
     for _ in range(m):
-        scores = [(_oracle_total_error(g, tuple(chosen + [v]), mode), v)
-                  for v in range(g.n) if v not in chosen]
-        evaluated += len(scores)
-        best = min(e for e, _ in scores)
-        chosen.append(min(v for e, v in scores if e <= best * (1.0 + 1e-9)))
+        rest = [v for v in range(g.n) if v not in chosen]
+        errors = oracle_errors(g, [chosen + [v] for v in rest], mode)[0]
+        evaluated += len(rest)
+        chosen.append(rest[int(np.flatnonzero(errors <= errors.min() * (1.0 + 1e-9))[0])])
     return tuple(sorted(chosen)), evaluated
 
 
@@ -176,6 +177,16 @@ def test_greedy_matches_oracle_driven_reference():
                 assert rel_dev(res.objective.total_error, oracle) < 1e-10
                 cases += 1
     assert cases == 480
+
+
+def test_gain_greedy_matches_exact_rationals_under_weight_spread():
+    # B is read from L+: a dense inverse of L + K is 1.7e-7 off here at k = 0.3, m = 2
+    g = weight_spread_graph(1e9)
+    for k in (0.3, 3.0):
+        for m in (2, 3, 5):
+            res = greedy_select(g, m, Gain(k))
+            exact = exact_gain_error(g, res.optimal_sets[0], k)
+            assert rel_dev(res.objective.total_error, exact) < 1e-8, (k, m)
 
 
 def test_closed_form_cycle_uniform():
@@ -324,6 +335,35 @@ def test_full_sweep_memory_per_pair():
     assert peak / len(sweep.pairs) < 96
 
 
+def test_full_sweep_memory_per_pair_is_chunked():
+    # the index arrays and rho take 24 bytes a pair and the kernel's
+    # temporaries stay within one chunk; scored in one piece it takes 56
+    g = leadsel.erdos_renyi(600, 8 / 599, seed=0)
+    kernels = compute_kernels(g)
+    tracemalloc.start()
+    try:
+        sweep = pairwise_sweep(g, kernels=kernels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sweep.pairs) == 179_700
+    assert peak / len(sweep.pairs) < 40
+
+
+def test_chunked_sweep_is_the_unchunked_kernel(monkeypatch):
+    # n = 300 spans two default chunks; chunks of 7 pairs leave a partial last one
+    g = seeded_random_graph(np.random.default_rng(5), 300, p=0.03, weighted=True)
+    kernels = compute_kernels(g)
+    ii, jj = np.triu_indices(300, 1)
+    assert selection_module._PAIR_CHUNK < len(ii) < 2 * selection_module._PAIR_CHUNK
+    assert np.array_equal(pairwise_sweep(g, kernels=kernels).rho, 300 / _pair_kernel(kernels, ii, jj, 0.0))
+    monkeypatch.setattr(selection_module, "_PAIR_CHUNK", 7)
+    ii, jj = ii[::997], jj[::997]
+    sweep = pairwise_sweep(g, pairs=list(zip(jj.tolist(), ii.tolist())), kernels=kernels)
+    assert len(ii) % 7 and list(sweep.pairs) == list(zip(ii.tolist(), jj.tolist()))
+    assert np.array_equal(sweep.rho, 300 / _pair_kernel(kernels, ii, jj, 0.0))
+
+
 def test_tridiagonal_chain_trace_against_dense_inverse():
     for w in range(1, 51):
         block = 2.0 * np.eye(w) - np.eye(w, k=1) - np.eye(w, k=-1)
@@ -386,11 +426,13 @@ def test_gain_greedy_does_not_import_numpy_ma():
 
 
 def test_closed_forms_and_search_hold_no_oracle():
-    # the dense oracles check the closed forms, so the modules that compute them do not use one
+    # the dense oracles check the closed forms, so the modules that compute them do not use one;
+    # greedy reads its inverse from the kernels, so selection inverts no system matrix either
     src = str(Path(leadsel.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import leadsel.selection as s, leadsel.joint as j, leadsel.centrality as c; "
             "names = [f'{m.__name__}.{n}' for m in (s, j, c) for n in vars(m) if n.startswith('oracle_error')]; "
+            "names += [f's.{n}' for n in ('spd_inverse', 'system_matrix') if n in vars(s)]; "
             "assert not names, names")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
