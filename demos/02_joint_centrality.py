@@ -11,10 +11,10 @@ from leadsel import (
     cycle,
     erdos_renyi,
     joint_centrality,
-    joint_centrality_two,
     joint_centrality_two_gain,
     oracle_error_gain,
     oracle_error_noise_free,
+    pairwise_sweep,
 )
 
 g = cycle(4)
@@ -29,14 +29,16 @@ for members in ((0, 2), (0, 1)):
 print("  -> antipodal leaders cover the cycle better and halve the error")
 print()
 
-# rho does not depend on which member is used as the pivot of the grounded
-# expansion, and the two-leader closed form matches the general machinery.
+# rho does not depend on which member is the pivot of the grounded expansion
+# (joint_centrality takes the first one, so each rotation of the set puts
+# another member first), and the two-leader closed form of the pair sweep
+# matches the general machinery.
 g = erdos_renyi(10, 0.4, seed=3)
 k = compute_kernels(g)
 members = (1, 4, 7)
-rhos = [joint_centrality(k, members, pivot=p).rho for p in members]
+rhos = [joint_centrality(k, (p, *(v for v in members if v != p))).rho for p in members]
 print(f"er(10, 0.4): rho for pivots {members}: {rhos}")
-pair = joint_centrality_two(k, 2, 9).rho
+pair = pairwise_sweep(g, [(2, 9)], kernels=k).rho[0]
 general = joint_centrality(k, (2, 9)).rho
 print(f"two-leader closed form {pair:.10f} vs general {general:.10f}")
 print()

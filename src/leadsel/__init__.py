@@ -22,12 +22,11 @@ _EXPORTS = {
                "NumericalDegeneracyError", "SelfLoopError", "SpectralError", "StabilityError", "adjacency",
                "complete", "cycle", "erdos_renyi", "laplacian", "parse_edge_list", "path",
                "serialize_edge_list"),
-    "joint": ("JointCentralityResult", "joint_centrality", "joint_centrality_two", "joint_centrality_two_gain",
-              "n_inverse_entries", "single_leader_error"),
+    "joint": ("JointCentralityResult", "joint_centrality", "joint_centrality_two_gain", "single_leader_error"),
     "kernels": ("ErrorReport", "GraphKernels", "compute_kernels", "oracle_error_gain", "oracle_error_noise_free"),
     "selection": ("ClosedFormError", "NodePairs", "Objective", "PairSweep", "SelectionResult",
                   "closed_form_cycle", "closed_form_cycle_two", "closed_form_path_two", "exhaustive_select",
-                  "greedy_select", "pairwise_sweep", "tridiagonal_chain_trace"),
+                  "greedy_select", "pairwise_sweep"),
     "simulate": ("SimConfig", "SimResult", "simulate"),
     "suites": ("connected_graph_atlas", "random_connected_graphs"),
     "verify": ("VerifyReport", "verify_graph", "verify_random_suite", "verify_small_suite"),

@@ -9,8 +9,8 @@ holds a non-finite number is written in neither format and exits 2. The
 payload of a report is byte-identical across runs for identical inputs and
 seed; timing lives outside the payload.
 
-Exit codes: 0 success, 2 input error, 3 evaluation budget exceeded,
-4 identity violation, 5 stability violation.
+Exit codes: 0 success, 2 input error (or memory ran out), 3 evaluation
+budget exceeded, 4 identity violation, 5 stability violation.
 
 Each command imports the modules it runs inside its handler, and the error
 classes come from ``graphs``, so a process loads only what its command
@@ -60,6 +60,7 @@ EXIT_CODES = {
     SpectralError: EXIT_INPUT,
     NumericalDegeneracyError: EXIT_INPUT,
     OSError: EXIT_INPUT,
+    MemoryError: EXIT_INPUT,
 }
 
 SCHEMA_VERSION = "1"
@@ -463,7 +464,10 @@ def main(argv=None) -> int:
         graph, payload, rows = args.func(args)
         _emit(args, graph, payload, rows, started)
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, MemoryError):  # numpy's names the shape it could not allocate
+            message = f"out of memory: {message}" if message else "out of memory"
+        print(f"error: {message}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
     if payload.get("violations"):
         first = payload["violations"][0]

@@ -13,6 +13,8 @@ import numpy as np
 
 # unreached node ids that a DisconnectedGraphError message lists
 _LISTED_UNREACHED = 10
+# G(n, p) samples that erdos_renyi draws before it gives up on a connected one
+_ER_TRIES = 200
 
 
 class GraphError(ValueError):
@@ -159,7 +161,7 @@ class LeaderSet:
     """Ordered set of distinct leader nodes in one leader mode.
 
     The order is kept: ``joint_centrality`` takes the first member as its
-    default pivot.
+    pivot.
 
     Validity against a particular graph (ids within 0..n-1 and m < n) is
     checked by the operations that take both a graph and a leader set.
@@ -329,24 +331,24 @@ def _gnp_edges(rng, n: int, p: float, weighted: bool = False) -> tuple:
     return tuple(zip(iu[keep].tolist(), iv[keep].tolist()))
 
 
-def erdos_renyi(n: int, p: float, seed: int, max_tries: int = 200) -> Graph:
+def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Random G(n, p) graph, resampled until connected.
 
     Deterministic for a fixed seed (one PCG64 stream drives all retries).
-    Raises GraphError once the retry budget is exhausted.
+    Raises GraphError after _ER_TRIES disconnected samples.
     """
     if n < 2:
         raise GraphError(f"erdos_renyi needs n >= 2, got {n}")
     if not (0.0 < p <= 1.0):
         raise GraphError(f"edge probability must be in (0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_ER_TRIES):
         try:
             return Graph(n, _gnp_edges(rng, n, p))
         except DisconnectedGraphError:
             continue
     raise GraphError(
-        f"erdos_renyi(n={n}, p={p}, seed={seed}): no connected sample in {max_tries} tries"
+        f"erdos_renyi(n={n}, p={p}, seed={seed}): no connected sample in {_ER_TRIES} tries"
     )
 
 

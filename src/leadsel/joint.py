@@ -9,10 +9,10 @@ entries of L+ relative to a pivot member p of S and the rest R = S \\ {p}:
 
 where D = L+[:, p] - L+[:, R] (one column per member of R), f = D[p] + u
 and G is the inverse of N_p[R, R] + u (I + J), N_p the pivot-grounded Gram
-matrix of L+ (``n_inverse_entries``). For m = 1, R is empty: noise-free,
-rho is the node's information centrality. The paper's compact form (two
-determinants and Gamma_S) is the same quantity; the tests use it as a
-cross-check.
+matrix of L+ (``_grounded_gram``). The pivot is the first member; rho does
+not depend on the choice. For m = 1, R is empty: noise-free, rho is the
+node's information centrality. The paper's compact form (two determinants
+and Gamma_S) is the same quantity; the tests use it as a cross-check.
 
 Two-leader values, noise-free and with finite gain, single pairs and whole
 pair arrays, also come from one pair formula in ``_pair_kernel``: the same
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import inverse_info_centrality
-from .graphs import Gain, GraphError, LeaderSet, NOISE_FREE, NumericalDegeneracyError
+from .graphs import Gain, LeaderSet, NOISE_FREE, NumericalDegeneracyError
 from .kernels import GraphKernels
 
 # |det| below this fraction of its Hadamard bound marks a suspect product
@@ -41,40 +41,32 @@ class JointCentralityResult:
     warnings: tuple = ()
 
 
-def n_inverse_entries(kernels: GraphKernels, pivot: int) -> np.ndarray:
-    """Pivot-grounded Gram matrix of L+.
+def _grounded_gram(lplus: np.ndarray, pivot: int, rows) -> np.ndarray:
+    """Pivot-grounded Gram matrix N_p of L+ over the node ids ``rows``.
 
-    Entry (i, j) = L+[i, j] - L+[i, l1] - L+[j, l1] + L+[l1, l1], equivalently
-    (r[i, l1] + r[j, l1] - r[i, j]) / 2. The diagonal holds resistance
+    Entry (i, j) = L+[i, j] - L+[i, p] - L+[j, p] + L+[p, p], equivalently
+    (r[i, p] + r[j, p] - r[i, j]) / 2. The diagonal holds resistance
     distances to the pivot; the pivot row and column are identically zero.
     """
-    lp = kernels.lplus
-    col = lp[:, pivot]
-    return lp - col[:, None] - col[None, :] + lp[pivot, pivot]
+    col = lplus[rows, pivot]
+    # take, unlike [:, rows], keeps the block in C order: greedy's column sums round by the layout
+    return lplus[rows].take(rows, axis=1) - col[:, None] - col[None, :] + lplus[pivot, pivot]
 
 
 def joint_centrality(
-    kernels: GraphKernels, members, pivot=None, sigma: float = 1.0, *, mode=NOISE_FREE
+    kernels: GraphKernels, members, *, sigma: float = 1.0, mode=NOISE_FREE
 ) -> JointCentralityResult:
     """Joint centrality of an arbitrary leader set in either leader mode.
 
     Noise-free leaders need 1 <= m < n; finite-gain leaders may cover every
-    node. ``pivot`` defaults to the first member; the value of rho does not
-    depend on the choice.
+    node. The first member is the pivot.
     """
     members = LeaderSet(members, mode).check_against(kernels.n).members
-    if pivot is None:
-        pivot = members[0]
-    pivot = int(pivot)
-    if pivot not in members:
-        raise GraphError(f"pivot {pivot} not in leader set {members}")
+    pivot, rest = members[0], list(members[1:])
     lp = kernels.lplus
     n = kernels.n
-    rest = [v for v in members if v != pivot]
     lpp = lp[pivot, pivot]
-    # the block of n_inverse_entries(kernels, pivot) over R, gathered directly
-    col = lp[rest, pivot]
-    grounded = lp[rest][:, rest] - col[:, None] - col[None, :] + lpp
+    grounded = _grounded_gram(lp, pivot, rest)
     diffs = lp[:, [pivot]] - lp[:, rest]
     f = diffs[pivot]
     # A huge u (a tiny gain) overflows det to inf or nan, which the check below raises on.
@@ -137,24 +129,6 @@ def _pair_kernel(kernels: GraphKernels, ii, jj, u: float):
     return n_over_rho
 
 
-def _pair_result(kernels, s1, s2, u, sigma):
-    s1, s2 = LeaderSet((s1, s2)).check_against(kernels.n).members
-    n_over_rho = float(_pair_kernel(kernels, s1, s2, u))
-    return JointCentralityResult(
-        rho=kernels.n / n_over_rho,
-        implied_total_error=0.5 * sigma * sigma * n_over_rho,
-    )
-
-
-def joint_centrality_two(kernels: GraphKernels, s1: int, s2: int, sigma: float = 1.0) -> JointCentralityResult:
-    """Two-leader joint centrality in closed form.
-
-    n / rho = K_f/n + (n L+[s1,s1] L+[s2,s2] - n L+[s1,s2]^2 - gamma) / r;
-    agrees with the general-m routine.
-    """
-    return _pair_result(kernels, s1, s2, 0.0, sigma)
-
-
 def joint_centrality_two_gain(
     kernels: GraphKernels, s1: int, s2: int, k: float, sigma: float = 1.0
 ) -> JointCentralityResult:
@@ -166,7 +140,9 @@ def joint_centrality_two_gain(
     Approaches the noise-free two-leader value as k grows.
     """
     k = Gain(k).k  # finite and positive
-    return _pair_result(kernels, s1, s2, 1.0 / k, sigma)
+    s1, s2 = LeaderSet((s1, s2)).check_against(kernels.n).members
+    n_over_rho = float(_pair_kernel(kernels, s1, s2, 1.0 / k))
+    return JointCentralityResult(rho=kernels.n / n_over_rho, implied_total_error=0.5 * sigma * sigma * n_over_rho)
 
 
 def single_leader_error(kernels: GraphKernels, s: int, mode=NOISE_FREE, sigma: float = 1.0) -> float:

@@ -8,10 +8,10 @@ whose work is all matrix products, a smaller one by LAPACK directly. The
 oracle computes the steady-state tracking error of the leader-follower
 consensus dynamics by dense symmetric factorization, deliberately not
 reusing any of the closed-form centrality machinery, so it can serve as an
-independent check on it. ``oracle_errors`` is the oracle: it scores a whole
-stack of leader sets in one leader mode, a chunk of matrices per
-factorization; ``oracle_error_noise_free`` and ``oracle_error_gain`` are its
-one-set calls.
+independent check on it. ``oracle_errors`` is the oracle: the total errors
+of a stack of leader sets in one leader mode, a chunk of matrices per
+factorization. ``oracle_error_noise_free`` and ``oracle_error_gain`` score
+one set the same way and add its per-node variances.
 
 ``system_matrix`` assembles the matrix the oracle inverts, the grounded
 Laplacian or L + K, for one leader set; the oracle assembles its stacks by
@@ -79,7 +79,6 @@ class ErrorReport:
 
     total_error: float
     per_node_variance: np.ndarray
-    sigma: float
 
 
 def _system_stack(lap, sets, mode):
@@ -150,17 +149,16 @@ def _block_inverse(a):
     return out
 
 
-def oracle_errors(g: Graph, sets, mode, sigma: float = 1.0):
-    """Tracking errors of a stack of leader sets in one leader mode.
+def oracle_errors(g: Graph, sets, mode, sigma: float = 1.0) -> np.ndarray:
+    """Total tracking errors of a stack of leader sets in one leader mode.
 
     ``sets`` is a (c, m) array, one leader set per row. Each set's error is
-    (sigma^2 / 2) * tr(M^-1) for its system matrix M (``system_matrix``),
-    and the per-node variances are the diagonal of (sigma^2 / 2) M^-1, zero
-    at noise-free leaders. The matrices are built from one ``laplacian(g)``
-    and handled a chunk of about _STACK_ELEMENTS entries at a time: one
-    stacked Cholesky factorization as the positive-definiteness test, then
-    one stacked inverse. Returns the totals, shape (c,), and the per-node
-    variances, shape (c, n); row i equals the one-set oracle of set i.
+    (sigma^2 / 2) * tr(M^-1) for its system matrix M (``system_matrix``).
+    The matrices are built from one ``laplacian(g)`` and handled a chunk of
+    about _STACK_ELEMENTS entries at a time: one stacked Cholesky
+    factorization as the positive-definiteness test, then one stacked
+    inverse. Returns the totals, shape (c,); entry i equals the one-set
+    oracle's total of set i.
     """
     sets = np.asarray(sets, dtype=np.intp)
     c, m = sets.shape
@@ -169,25 +167,26 @@ def oracle_errors(g: Graph, sets, mode, sigma: float = 1.0):
     if c and (ordered[:, 0].min() < 0 or ordered[:, -1].max() >= g.n
               or np.any(ordered[:, 1:] == ordered[:, :-1])):
         raise GraphError(f"every leader set needs {m} distinct node ids in 0..{g.n - 1}")
-    return _stack_errors(g, sets, mode, sigma)
-
-
-def _stack_errors(g, sets, mode, sigma):
-    """``oracle_errors`` of sets already checked against g and mode."""
-    c, m = sets.shape
     lap = laplacian(g)
-    what = "grounded Laplacian" if isinstance(mode, NoiseFree) else "L + K"
-    scale = 0.5 * sigma * sigma
-    var = np.zeros((c, g.n))
     dim = g.n - m if isinstance(mode, NoiseFree) else g.n
     rows = max(1, _STACK_ELEMENTS // (dim * dim))
+    totals = np.empty(c)
     # a finite sigma^2 can still overflow the sum to inf, which a report refuses to emit
     with np.errstate(over="ignore"):
         for start in range(0, c, rows):
-            mats, nodes = _system_stack(lap, sets[start:start + rows], mode)
-            inv = spd_inverse(mats, what)
-            var[np.arange(start, start + len(mats))[:, None], nodes] = scale * np.diagonal(inv, axis1=1, axis2=2)
-        return var.sum(axis=1), var
+            chunk = sets[start:start + rows]
+            totals[start:start + len(chunk)] = _variances(lap, chunk, mode, sigma).sum(axis=1)
+    return totals
+
+
+def _variances(lap, sets, mode, sigma):
+    """Per-node variances, shape (len(sets), n), of a chunk of checked sets:
+    the diagonal of (sigma^2 / 2) M^-1, zero at noise-free leaders."""
+    mats, nodes = _system_stack(lap, sets, mode)
+    inv = spd_inverse(mats, "grounded Laplacian" if isinstance(mode, NoiseFree) else "L + K")
+    var = np.zeros((len(sets), len(lap)))
+    var[np.arange(len(sets))[:, None], nodes] = 0.5 * sigma * sigma * np.diagonal(inv, axis1=1, axis2=2)
+    return var
 
 
 def _one_set(g, leaders, mode_cls, sigma):
@@ -196,8 +195,9 @@ def _one_set(g, leaders, mode_cls, sigma):
             f"leader set mode is {type(leaders.mode).__name__}, expected {mode_cls.__name__}"
         )
     leaders.check_against(g.n)
-    totals, var = _stack_errors(g, np.array([leaders.members]), leaders.mode, sigma)
-    return ErrorReport(float(totals[0]), var[0], sigma)
+    with np.errstate(over="ignore"):
+        (var,) = _variances(laplacian(g), np.array([leaders.members]), leaders.mode, sigma)
+        return ErrorReport(float(var.sum()), var)
 
 
 def oracle_error_noise_free(g: Graph, leaders: LeaderSet, sigma: float = 1.0) -> ErrorReport:
@@ -205,8 +205,7 @@ def oracle_error_noise_free(g: Graph, leaders: LeaderSet, sigma: float = 1.0) ->
 
     Deleting the leader rows/columns of L leaves the follower submatrix L_F;
     the total error is (sigma^2 / 2) * tr(L_F^-1), follower variances are the
-    matching diagonal entries and leader variances are exactly zero. A
-    one-set call of ``oracle_errors``.
+    matching diagonal entries and leader variances are exactly zero.
     """
     return _one_set(g, leaders, NoiseFree, sigma)
 
@@ -215,7 +214,6 @@ def oracle_error_gain(g: Graph, leaders: LeaderSet, sigma: float = 1.0) -> Error
     """Tracking error with finite-gain leaders: (sigma^2 / 2) * tr((L + K)^-1).
 
     K is diagonal with k at leader nodes; the Lyapunov solution for the
-    symmetric system matrix is Sigma = (sigma^2 / 2) * (L + K)^-1. A one-set
-    call of ``oracle_errors``.
+    symmetric system matrix is Sigma = (sigma^2 / 2) * (L + K)^-1.
     """
     return _one_set(g, leaders, Gain, sigma)

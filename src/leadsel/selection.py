@@ -32,7 +32,7 @@ import numpy as np
 from . import graphs
 from .centrality import inverse_info_centrality
 from .graphs import BudgetError, Gain, Graph, GraphError, LeaderSet, NOISE_FREE, NoiseFree
-from .joint import _pair_kernel, joint_centrality, n_inverse_entries, single_leader_error
+from .joint import _grounded_gram, _pair_kernel, joint_centrality, single_leader_error
 from .kernels import compute_kernels
 
 TIE_TOL = 1e-9
@@ -145,8 +145,8 @@ def greedy_select(g: Graph, m: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> S
     n / c_v (plus n/k with gain k), read from the kernels. The inverse B of
     its system matrix is read from L+ as well, by way of the pivot-grounded
     Gram matrix N_p = L+ - L+[:, p] - L+[p, :] + L+[p, p]
-    (``n_inverse_entries``): noise-free, N_p without row and column p; gain
-    k, N_p + 11^T / k. After that B is kept up to date by rank one (Lin,
+    (``joint._grounded_gram``): noise-free, N_p without row and column p;
+    gain k, N_p + 11^T / k. After that B is kept up to date by rank one (Lin,
     Fardad & Jovanovic, IEEE TAC 2014), scoring all candidates j at once.
     Noise-free: pinning j drops the trace by ||B[:, j]||^2 / B[j, j], and B
     loses row and column j. Gain k: adding k at j drops it by
@@ -165,12 +165,9 @@ def greedy_select(g: Graph, m: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> S
         traces += n / k
     best = _first_near_min(traces)
     leaders = [best]
-    nodes = np.arange(n)
-    b = n_inverse_entries(kernels, best)
-    if k is None:
-        b = np.delete(np.delete(b, best, axis=0), best, axis=1)
-        nodes = np.delete(nodes, best)
-    else:
+    nodes = np.delete(np.arange(n), best) if k is None else np.arange(n)
+    b = _grounded_gram(kernels.lplus, best, nodes)
+    if k is not None:
         b += 1.0 / k
     for _ in range(1, m):
         col_sq = (b * b).sum(axis=0)
@@ -302,7 +299,6 @@ class PairSweep:
     ``pairs`` is a NodePairs sequence; ``rho[k]`` belongs to ``pairs[k]``.
     """
 
-    n: int
     pairs: NodePairs
     rho: np.ndarray
 
@@ -321,10 +317,10 @@ class PairSweep:
             return np.histogram(self.rho, bins=bins, range=(low, low + bins * width))
         return np.histogram(self.rho, bins=bins)
 
-    def argmax_pairs(self, tie_tol: float = TIE_TOL):
-        """The (i, j) tuples within tie_tol of the largest rho, in sweep order."""
+    def argmax_pairs(self):
+        """The (i, j) tuples within TIE_TOL of the largest rho, in sweep order."""
         top = self.rho.max()
-        return [self.pairs[k] for k in np.flatnonzero(self.rho >= top * (1.0 - tie_tol)).tolist()]
+        return [self.pairs[k] for k in np.flatnonzero(self.rho >= top * (1.0 - TIE_TOL)).tolist()]
 
 
 def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernels=None) -> PairSweep:
@@ -361,15 +357,4 @@ def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernel
     for start in range(0, len(ii), _PAIR_CHUNK):
         part = slice(start, start + _PAIR_CHUNK)
         rho[part] = n / _pair_kernel(kernels, ii[part], jj[part], 0.0)
-    return PairSweep(n=n, pairs=NodePairs(ii, jj), rho=rho)
-
-
-def tridiagonal_chain_trace(w: int) -> float:
-    """Trace of the inverse of the w x w tridiagonal (-1, 2, -1) matrix.
-
-    Closed form w (w + 2) / 6; this is the error contribution of a chain of w
-    followers strung between two pinned leaders on a cycle.
-    """
-    if w < 1:
-        raise ValueError(f"chain length must be positive, got {w}")
-    return w * (w + 2) / 6
+    return PairSweep(pairs=NodePairs(ii, jj), rho=rho)

@@ -4,7 +4,8 @@ For every leader set up to a size cap, the error implied by rho
 ((sigma^2/2) * n / rho) must match the grounded-Laplacian oracle; for every
 pair and each gain k, the error implied by the gain-dependent rho must match
 the dense (L + K)^-1 trace. These are two genuinely independent computation
-routes, so agreement is strong evidence of correctness.
+routes, so agreement is strong evidence of correctness. sigma^2 scales both
+routes alike, so the checks run at sigma = 1.
 
 The sets are checked a batch at a time: all noise-free sets of one size, or
 all pairs at one gain. The closed forms of a batch come first, per set from
@@ -58,7 +59,6 @@ def verify_graph(
     m_max: int = 3,
     k_values=DEFAULT_K_VALUES,
     tol: float = DEFAULT_TOL,
-    sigma: float = 1.0,
 ) -> VerifyReport:
     """Check both identities on every leader set of g with m <= m_max.
 
@@ -72,8 +72,8 @@ def verify_graph(
     violations = []
     for m in range(1, min(m_max, g.n - 1) + 1):
         sets = list(itertools.combinations(range(g.n), m))
-        implied = [joint_centrality(kernels, members, sigma=sigma).implied_total_error for members in sets]
-        for members, dev in zip(sets, _rel_devs(implied, oracle_errors(g, sets, NOISE_FREE, sigma)[0])):
+        implied = [joint_centrality(kernels, members).implied_total_error for members in sets]
+        for members, dev in zip(sets, _rel_devs(implied, oracle_errors(g, sets, NOISE_FREE))):
             worst_nf = max(worst_nf, dev)
             if dev > tol:
                 violations.append(IdentityViolation(label, members, None, dev))
@@ -84,8 +84,8 @@ def verify_graph(
         devs_by_k = []
         for k in k_values:
             mode = Gain(k)
-            implied = 0.5 * sigma * sigma * _pair_kernel(kernels, ii, jj, 1.0 / mode.k)
-            devs_by_k.append(_rel_devs(implied, oracle_errors(g, pairs, mode, sigma)[0]))
+            implied = 0.5 * _pair_kernel(kernels, ii, jj, 1.0 / mode.k)
+            devs_by_k.append(_rel_devs(implied, oracle_errors(g, pairs, mode)))
         for p, pair in enumerate(map(tuple, pairs.tolist())):
             for k, devs in zip(k_values, devs_by_k):
                 worst_gain = max(worst_gain, devs[p])

@@ -100,12 +100,23 @@ def exact_gain_error(g, members, k):
     return float(sum(a[i][n + i] for i in range(n)) / 2)
 
 
+def tridiagonal_chain_trace(w):
+    """Trace of the inverse of the w x w tridiagonal (-1, 2, -1) matrix.
+
+    Closed form w (w + 2) / 6; this is the error contribution of a chain of w
+    followers strung between two pinned leaders on a cycle.
+    """
+    if w < 1:
+        raise ValueError(f"chain length must be positive, got {w}")
+    return w * (w + 2) / 6
+
+
 def oracle_select(g, m, mode=NOISE_FREE):
     """Reference enumeration: every m-subset within TIE_TOL of the least
     dense-oracle error, all of itertools.combinations scored by one stacked
     oracle call."""
     sets = list(itertools.combinations(range(g.n), m))
-    errors = oracle_errors(g, sets, mode)[0].tolist()
+    errors = oracle_errors(g, sets, mode).tolist()
     best = min(errors)
     return SelectionResult(
         optimal_sets=tuple(s for s, e in zip(sets, errors) if e <= best * (1.0 + TIE_TOL)),
@@ -116,8 +127,7 @@ def oracle_select(g, m, mode=NOISE_FREE):
     )
 
 
-def verify_graph_reference(g, *, label="graph", m_max=3, k_values=DEFAULT_K_VALUES, tol=DEFAULT_TOL,
-                           sigma=1.0):
+def verify_graph_reference(g, *, label="graph", m_max=3, k_values=DEFAULT_K_VALUES, tol=DEFAULT_TOL):
     """Reference for ``verify_graph``: a plain loop that checks one set at a
     time against the one-set oracles, the closed form of each check first."""
     kernels = compute_kernels(g)
@@ -127,8 +137,8 @@ def verify_graph_reference(g, *, label="graph", m_max=3, k_values=DEFAULT_K_VALU
     violations = []
     for m in range(1, min(m_max, g.n - 1) + 1):
         for members in itertools.combinations(range(g.n), m):
-            implied = joint_centrality(kernels, members, sigma=sigma).implied_total_error
-            oracle = oracle_error_noise_free(g, LeaderSet(members, NOISE_FREE), sigma).total_error
+            implied = joint_centrality(kernels, members).implied_total_error
+            oracle = oracle_error_noise_free(g, LeaderSet(members, NOISE_FREE)).total_error
             dev = abs(implied - oracle) / oracle
             worst_nf = max(worst_nf, dev)
             checks += 1
@@ -137,8 +147,8 @@ def verify_graph_reference(g, *, label="graph", m_max=3, k_values=DEFAULT_K_VALU
     if g.n >= 3:
         for s1, s2 in itertools.combinations(range(g.n), 2):
             for k in k_values:
-                implied = joint_centrality_two_gain(kernels, s1, s2, k, sigma).implied_total_error
-                oracle = oracle_error_gain(g, LeaderSet((s1, s2), Gain(k)), sigma).total_error
+                implied = joint_centrality_two_gain(kernels, s1, s2, k).implied_total_error
+                oracle = oracle_error_gain(g, LeaderSet((s1, s2), Gain(k))).total_error
                 dev = abs(implied - oracle) / oracle
                 worst_gain = max(worst_gain, dev)
                 checks += 1

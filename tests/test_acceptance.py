@@ -36,11 +36,10 @@ from leadsel import (
     path,
     resistance_matrix,
     simulate,
-    tridiagonal_chain_trace,
 )
 from leadsel.suites import CONNECTED_CLASS_COUNTS, connected_graph_atlas, random_connected_graphs
 
-from conftest import max_triangle_violation, oracle_select, rel_dev
+from conftest import max_triangle_violation, oracle_select, rel_dev, tridiagonal_chain_trace
 
 TIE = 1e-9
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -169,6 +170,22 @@ def test_disconnected_graph_message_is_bounded(tmp_path, capsys):
     small.write_text("n=5\n0 1\n")
     code, _, err = run(capsys, "centrality", str(small))
     assert code == 2 and "nodes [2, 3, 4] unreachable from node 0" in err
+
+
+def test_out_of_memory_exit_2_without_traceback(tmp_path, capsys):
+    # L of path(20000) alone is 3.2 GB, twice the child's address-space limit
+    graph = tmp_path / "path20000.edges"
+    assert main(["generate", "path", "--n", "20000", "--out", str(graph)]) == 0
+    src = str(Path(leadsel.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    limit = 1536 << 20
+    proc = subprocess.run([sys.executable, "-m", "leadsel.cli", "centrality", str(graph)], env=env,
+                          capture_output=True, text=True,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2 and not proc.stdout, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(r"error: out of memory: .*\(20000, 20000\).*\n", proc.stderr)
 
 
 def test_select_exhaustive_cycle6(cycle6, capsys):

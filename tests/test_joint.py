@@ -14,9 +14,7 @@ from leadsel import (
     cycle,
     info_centrality,
     joint_centrality,
-    joint_centrality_two,
     joint_centrality_two_gain,
-    n_inverse_entries,
     oracle_error_gain,
     oracle_error_noise_free,
     pairwise_sweep,
@@ -24,18 +22,29 @@ from leadsel import (
     resistance_matrix,
     single_leader_error,
 )
+from leadsel.joint import _grounded_gram
 from leadsel.suites import connected_graph_atlas
 
 from conftest import connected_graphs, exact_gain_error, rel_dev, seeded_random_graph, weight_spread_graph
 
 
-def test_n_inverse_entries_structure():
+def _rotated(members, pivot):
+    """The members with pivot first, the others in their order."""
+    return (pivot, *(v for v in members if v != pivot))
+
+
+def test_grounded_gram_structure():
     rng = np.random.default_rng(7)
     g = seeded_random_graph(rng, 9, weighted=True)
     k = compute_kernels(g)
     r = resistance_matrix(k)
     for pivot in (0, 4, 8):
-        nm = n_inverse_entries(k, pivot)
+        nm = _grounded_gram(k.lplus, pivot, np.arange(g.n))
+        rows = [v for v in (7, 2, 5, 0) if v != pivot]
+        block = _grounded_gram(k.lplus, pivot, rows)
+        assert np.array_equal(block, nm[np.ix_(rows, rows)])
+        # C order: greedy's column sums round by the layout
+        assert nm.flags.c_contiguous and block.flags.c_contiguous
         assert np.abs(np.diag(nm) - r[:, pivot]).max() < 1e-12
         assert np.abs(nm[pivot]).max() < 1e-12
         assert np.abs(nm[:, pivot]).max() < 1e-12
@@ -80,7 +89,8 @@ def _compact_form_n_over_rho(k, members):
     Gamma_S holds the biharmonic distances within S (pivot first).
     """
     pivot, rest = members[0], list(members[1:])
-    grounded = n_inverse_entries(k, pivot)[np.ix_(rest, rest)]
+    lp = k.lplus
+    grounded = (lp - lp[:, [pivot]] - lp[[pivot], :] + lp[pivot, pivot])[np.ix_(rest, rest)]
     gbar = np.zeros((len(members), len(members)))
     gbar[1:, 1:] = np.linalg.inv(grounded)
     order = list(members)
@@ -115,7 +125,7 @@ def test_pivot_invariance():
         g = seeded_random_graph(rng, int(rng.integers(5, 11)), weighted=True)
         k = compute_kernels(g)
         members = tuple(sorted(rng.choice(g.n, size=3, replace=False).tolist()))
-        rhos = [joint_centrality(k, members, pivot=p).rho for p in members]
+        rhos = [joint_centrality(k, _rotated(members, p)).rho for p in members]
         assert (max(rhos) - min(rhos)) / rhos[0] < 1e-9
 
 
@@ -126,17 +136,17 @@ def test_two_leader_specialization_agrees():
     specials = []
     for s1, s2 in itertools.combinations(range(g.n), 2):
         general = joint_centrality(k, (s1, s2)).rho
-        special = joint_centrality_two(k, s1, s2).rho
+        special = pairwise_sweep(g, [(s1, s2)], kernels=k).rho[0]
         assert rel_dev(special, general) < 1e-9
-        assert rel_dev(joint_centrality_two(k, s2, s1).rho, special) < 1e-12
+        assert rel_dev(pairwise_sweep(g, [(s2, s1)], kernels=k).rho[0], special) < 1e-12
         specials.append(special)
-    # the sweep and the single-pair routine share one pair formula
+    # the full sweep and a one-pair list share one pair formula
     assert np.array_equal(pairwise_sweep(g).rho, specials)
 
 
 def test_path3_end_pair_beats_adjacent_pair():
-    k = compute_kernels(path(3))
-    assert joint_centrality_two(k, 0, 2).rho > joint_centrality_two(k, 0, 1).rho
+    end, adjacent = pairwise_sweep(path(3), [(0, 2), (0, 1)]).rho
+    assert end > adjacent
 
 
 def test_gain_variant_matches_trace_oracle():
@@ -163,7 +173,7 @@ def test_gain_variant_large_k_limit():
     k = compute_kernels(g)
     for s1, s2 in ((0, 3), (1, 6), (2, 7)):
         big = joint_centrality_two_gain(k, s1, s2, 1e8).rho
-        free = joint_centrality_two(k, s1, s2).rho
+        free = pairwise_sweep(g, [(s1, s2)], kernels=k).rho[0]
         assert rel_dev(big, free) < 1e-4
 
 
@@ -234,7 +244,7 @@ def test_gain_joint_centrality_matches_oracle_with_every_pivot():
         for gain in (0.3, 3.0):
             oracle = oracle_error_gain(g, LeaderSet(members, Gain(gain))).total_error
             for pivot in members:
-                res = joint_centrality(k, members, pivot=pivot, mode=Gain(gain))
+                res = joint_centrality(k, _rotated(members, pivot), mode=Gain(gain))
                 assert rel_dev(res.implied_total_error, oracle) < 1e-12, (members, pivot, gain)
     # one and two leaders: the single-leader and pair formulas
     for gain in (0.3, 3.0):
@@ -267,11 +277,9 @@ def test_sigma_only_scales_error():
     assert rel_dev(r3.implied_total_error, 9.0 * r1.implied_total_error) < 1e-12
 
 
-def _argmax_pairs(k, n):
-    rhos = {
-        (s1, s2): joint_centrality_two(k, s1, s2).rho
-        for s1, s2 in itertools.combinations(range(n), 2)
-    }
+def _argmax_pairs(g):
+    sweep = pairwise_sweep(g)
+    rhos = dict(zip(sweep.pairs, sweep.rho.tolist()))
     top = max(rhos.values())
     return sorted(p for p, r in rhos.items() if r >= top * (1 - 1e-9))
 
@@ -284,8 +292,8 @@ def test_weight_scaling_argmax_report_only():
     for _ in range(4):
         g = seeded_random_graph(rng, 8, weighted=True)
         scaled = Graph(g.n, tuple((u, v, 3.7 * w) for u, v, w in g.edges))
-        f1 = _argmax_pairs(compute_kernels(g), g.n)
-        f2 = _argmax_pairs(compute_kernels(scaled), g.n)
+        f1 = _argmax_pairs(g)
+        f2 = _argmax_pairs(scaled)
         if f1 != f2:
             mismatches.append((g.edges, f1, f2))
     if mismatches:
@@ -308,10 +316,10 @@ def test_invalid_inputs_rejected():
         joint_centrality(k, (0, 0))
     with pytest.raises(GraphError):
         joint_centrality(k, (0, 1, 2, 3, 4))  # m = n
+    with pytest.raises(TypeError):
+        joint_centrality(k, (0, 2), 0)  # sigma is keyword-only, so a positional pivot is no sigma
     with pytest.raises(GraphError):
-        joint_centrality(k, (0, 2), pivot=3)
-    with pytest.raises(GraphError):
-        joint_centrality_two(k, 2, 2)
+        pairwise_sweep(cycle(5), [(2, 2)], kernels=k)
     with pytest.raises(GraphError):
         joint_centrality_two_gain(k, 0, 1, -1.0)
     with pytest.raises(GraphError):

@@ -29,12 +29,18 @@ from leadsel import (
     oracle_error_noise_free,
     pairwise_sweep,
     path,
-    tridiagonal_chain_trace,
 )
 from leadsel import selection as selection_module
 from leadsel.joint import _pair_kernel
 from leadsel.kernels import oracle_errors
-from conftest import exact_gain_error, oracle_select, rel_dev, seeded_random_graph, weight_spread_graph
+from conftest import (
+    exact_gain_error,
+    oracle_select,
+    rel_dev,
+    seeded_random_graph,
+    tridiagonal_chain_trace,
+    weight_spread_graph,
+)
 
 
 def test_exhaustive_cycle4_pairs():
@@ -146,7 +152,7 @@ def _greedy_reference(g, m, mode):
     chosen, evaluated = [], 0
     for _ in range(m):
         rest = [v for v in range(g.n) if v not in chosen]
-        errors = oracle_errors(g, [chosen + [v] for v in rest], mode)[0]
+        errors = oracle_errors(g, [chosen + [v] for v in rest], mode)
         evaluated += len(rest)
         chosen.append(rest[int(np.flatnonzero(errors <= errors.min() * (1.0 + 1e-9))[0])])
     return tuple(sorted(chosen)), evaluated
