@@ -215,10 +215,15 @@ def laplacian(g: Graph) -> np.ndarray:
     """Graph Laplacian L = D - A.
 
     Built from one symmetric adjacency matrix so L is symmetric bit-for-bit;
-    the diagonal holds the weighted degrees.
+    the diagonal holds the weighted degrees. A is negated in place, so L is
+    the only n x n array made; 0.0 - A, unlike np.negative, keeps the zeros
+    positive, and L equals np.diag(A.sum(axis=1)) - A bit for bit.
     """
     a = adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
+    degrees = a.sum(axis=1)
+    np.subtract(0.0, a, out=a)
+    np.fill_diagonal(a, degrees)
+    return a
 
 
 _HEADER_RE = re.compile(r"^n\s*=\s*(\d+)$")

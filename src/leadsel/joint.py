@@ -113,7 +113,9 @@ def _pair_kernel(kernels: GraphKernels, ii, jj, u: float):
     are node ids or equal-length arrays of them.
     """
     # Entries are gathered afresh in each line rather than named, so that
-    # numpy reuses the temporaries of a whole-graph sweep in place.
+    # numpy reuses the temporaries of a whole-graph sweep in place; an int32
+    # index would be cast again at every gather, so it is cast once here.
+    ii, jj = np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp)
     lp, l2p = kernels.lplus, kernels.l2plus
     d, d2 = lp.diagonal(), l2p.diagonal()
     # A huge u (a tiny gain) overflows to inf or nan, which the check below raises on.
@@ -139,9 +141,9 @@ def joint_centrality_two_gain(
                          - k^2 gamma] / (k (2 + k r)).
     Approaches the noise-free two-leader value as k grows.
     """
-    k = Gain(k).k  # finite and positive
-    s1, s2 = LeaderSet((s1, s2)).check_against(kernels.n).members
-    n_over_rho = float(_pair_kernel(kernels, s1, s2, 1.0 / k))
+    mode = Gain(k)  # k finite and positive
+    s1, s2 = LeaderSet((s1, s2), mode).check_against(kernels.n).members
+    n_over_rho = float(_pair_kernel(kernels, s1, s2, 1.0 / mode.k))
     return JointCentralityResult(rho=kernels.n / n_over_rho, implied_total_error=0.5 * sigma * sigma * n_over_rho)
 
 

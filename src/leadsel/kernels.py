@@ -4,7 +4,9 @@
 pseudoinverse (L^2)+ = (L+)^2 and the Kirchhoff index from one grounded
 Laplacian inverse. ``spd_inverse`` is the one inverse of the package: a
 matrix of more than _DIRECT_ROWS rows is inverted by recursive 2 x 2 blocks
-whose work is all matrix products, a smaller one by LAPACK directly. The
+whose work is all matrix products, a smaller one by LAPACK directly, and
+each such leaf is Cholesky-factored first as its positive-definiteness
+test, so no matrix is factored twice. The
 oracle computes the steady-state tracking error of the leader-follower
 consensus dynamics by dense symmetric factorization, deliberately not
 reusing any of the closed-form centrality machinery, so it can serve as an
@@ -52,19 +54,29 @@ def compute_kernels(g: Graph) -> GraphKernels:
     L+ = P N P with P = I - J/n. SpectralError is raised when the
     Cholesky test fails, or when lambda_2 >= 1 / ||L+||_F (||L+||_F^2 =
     tr (L^2)+) is not certified above the zero-mode cutoff
-    n * eps * max(lambda_max, 1), with lambda_max <= twice the largest degree.
+    n * eps * max(lambda_max, 1), with lambda_max <= twice the largest degree
+    (read off the diagonal of L). N is centred in place and L is dropped
+    once inverted, so no n x n array is made only to be thrown away.
     """
     n = g.n
     if n == 1:
         return GraphKernels(1, np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
-    grounded = laplacian(g)[1:, 1:]
+    lap = laplacian(g)
+    max_degree = lap.diagonal().max()
     padded = np.zeros((n, n))
-    padded[1:, 1:] = spd_inverse(grounded, "grounded Laplacian")
-    lplus = padded - padded.mean(axis=1)[:, None] - padded.mean(axis=0)[None, :] + padded.mean()
-    lplus = (lplus + lplus.T) / 2.0
-    l2plus = lplus @ lplus
-    l2plus = (l2plus + l2plus.T) / 2.0
-    max_degree = max(np.diag(grounded).max(), sum(w for u, v, w in g.edges if 0 in (u, v)))
+    padded[1:, 1:] = spd_inverse(lap[1:, 1:], "grounded Laplacian")
+    del lap
+    rows, cols, mean = padded.mean(axis=1), padded.mean(axis=0), padded.mean()
+    padded -= rows[:, None]
+    padded -= cols[None, :]
+    padded += mean
+    lplus = padded + padded.T
+    del padded
+    lplus /= 2.0
+    square = lplus @ lplus
+    l2plus = square + square.T
+    del square
+    l2plus /= 2.0
     cutoff = n * np.finfo(float).eps * max(2.0 * max_degree, 1.0)
     if not 1.0 / np.sqrt(np.trace(l2plus)) > cutoff:
         raise SpectralError(f"lambda_2 is not certified above the zero-mode cutoff {cutoff:.3e} "
@@ -111,12 +123,11 @@ def system_matrix(g: Graph, leaders: LeaderSet):
 def spd_inverse(mat, what):
     """Inverse of a symmetric positive definite matrix, or of each in a stack.
 
-    The Cholesky factorization is the positive-definiteness test; a matrix
-    that fails it is numerically singular (or indefinite) and raises
-    SpectralError. The inverse is ``_block_inverse``.
+    The inverse is ``_block_inverse``, whose Cholesky factorizations of the
+    leaf blocks are the positive-definiteness test; a matrix that fails it
+    is numerically singular (or indefinite) and raises SpectralError.
     """
     try:
-        np.linalg.cholesky(mat)
         return _block_inverse(mat)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"{what} is numerically singular: {exc}") from exc
@@ -131,10 +142,14 @@ def _block_inverse(a):
         A^-1 = [[A11^-1 + (X S^-1) X^T, -X S^-1], [-(X S^-1)^T, S^-1]].
 
     That is 4/3 d^3 flops, all in matrix products, where an LU inverse takes
-    8/3 d^3. A matrix of at most _DIRECT_ROWS rows is np.linalg.inv's.
+    8/3 d^3. A matrix of at most _DIRECT_ROWS rows is np.linalg.inv's, after
+    np.linalg.cholesky has tested it. A is positive definite exactly when
+    A11 and S are (Haynsworth 1968), so the leaves' tests are the whole
+    matrix's: a failed one raises np.linalg.LinAlgError.
     """
     d = a.shape[-1]
     if d <= _DIRECT_ROWS:
+        np.linalg.cholesky(a)
         return np.linalg.inv(a)
     h = d // 2
     inv11 = _block_inverse(a[..., :h, :h])
@@ -155,9 +170,8 @@ def oracle_errors(g: Graph, sets, mode, sigma: float = 1.0) -> np.ndarray:
     ``sets`` is a (c, m) array, one leader set per row. Each set's error is
     (sigma^2 / 2) * tr(M^-1) for its system matrix M (``system_matrix``).
     The matrices are built from one ``laplacian(g)`` and handled a chunk of
-    about _STACK_ELEMENTS entries at a time: one stacked Cholesky
-    factorization as the positive-definiteness test, then one stacked
-    inverse. Returns the totals, shape (c,); entry i equals the one-set
+    about _STACK_ELEMENTS entries at a time, each chunk by one stacked
+    ``spd_inverse``. Returns the totals, shape (c,); entry i equals the one-set
     oracle's total of set i.
     """
     sets = np.asarray(sets, dtype=np.intp)

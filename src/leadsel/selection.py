@@ -271,8 +271,10 @@ def closed_form_path_two(n: int, *, sigma: float = 1.0) -> SelectionResult:
 class NodePairs(Sequence):
     """Read-only sequence of node pairs (i, j), held as two index arrays.
 
-    ``ii`` and ``jj`` are the arrays themselves, read-only; ``pairs[k]`` is
-    a fresh ``(int, int)`` tuple, so keeping it pins neither array.
+    ``ii`` and ``jj`` are the arrays themselves, read-only: int32 for the
+    full sweep, so it holds 16 bytes a pair with rho, and np.intp for a
+    given pair list. ``pairs[k]`` is a fresh ``(int, int)`` tuple, so
+    keeping it pins neither array.
     """
 
     __slots__ = ("ii", "jj")
@@ -323,11 +325,25 @@ class PairSweep:
         return [self.pairs[k] for k in np.flatnonzero(self.rho >= top * (1.0 - TIE_TOL)).tolist()]
 
 
+def _upper_pairs(n: int):
+    """The pairs i < j of n nodes in row-major order, as two int32 arrays.
+
+    Row i holds n - 1 - i pairs. jj counts up by one within a row, and at
+    the start of row i >= 1 it steps from n - 1 back to i + 1.
+    """
+    counts = np.arange(n - 1, 0, -1, dtype=np.int32)
+    ii = np.repeat(np.arange(n - 1, dtype=np.int32), counts)
+    jj = np.ones(len(ii), dtype=np.int32)
+    jj[np.cumsum(counts[:-1])] = np.arange(3 - n, 1, dtype=np.int32)
+    return ii, np.cumsum(jj, dtype=np.int32, out=jj)
+
+
 def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernels=None) -> PairSweep:
     """Two-leader joint centrality for every pair (or a given pair list).
 
-    The full sweep scores every pair i < j in row-major order, straight from
-    np.triu_indices; a given list is scored in its order, each pair sorted.
+    The full sweep scores every pair i < j in row-major order, the order of
+    np.triu_indices, built as int32; a given list is scored in its order,
+    each pair sorted.
     ``pairs`` on the result is a NodePairs over the two index arrays.
     Scored by the pair kernel of ``joint`` _PAIR_CHUNK pairs at a time into
     one preallocated rho, so the kernel's temporaries do not grow with the
@@ -342,7 +358,7 @@ def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernel
     if pairs is None:
         if math.comb(n, 2) > budget:
             raise BudgetError(f"C({n}, 2) = {math.comb(n, 2)} pairs exceeds budget {budget}")
-        ii, jj = np.triu_indices(n, 1)
+        ii, jj = _upper_pairs(n)
     else:
         pairs = [tuple(sorted((int(i), int(j)))) for i, j in pairs]
         if len(pairs) > budget:

@@ -13,6 +13,7 @@ from leadsel import (
     NOISE_FREE,
     NonpositiveWeightError,
     SelfLoopError,
+    adjacency,
     complete,
     cycle,
     erdos_renyi,
@@ -22,7 +23,7 @@ from leadsel import (
     serialize_edge_list,
 )
 
-from conftest import connected_graphs
+from conftest import connected_graphs, seeded_random_graph
 
 
 def test_parse_smallest_path():
@@ -96,6 +97,15 @@ def test_laplacian_row_sums_exactly_zero_and_bit_symmetric():
     lap = laplacian(g)
     assert np.all(lap @ np.ones(4) == 0.0)
     assert np.array_equal(lap, lap.T)
+
+
+@pytest.mark.parametrize("g", [
+    seeded_random_graph(np.random.default_rng(30), 300, p=0.03, weighted=True), path(5),
+], ids=["weighted-G(300,0.03)", "path5"])
+def test_laplacian_is_degrees_minus_adjacency_bit_for_bit(g):
+    # tobytes tells -0.0 from 0.0, which np.negative would leave off the diagonal
+    a = adjacency(g)
+    assert laplacian(g).tobytes() == (np.diag(a.sum(axis=1)) - a).tobytes()
 
 
 def test_graph_rejects_bad_inputs():

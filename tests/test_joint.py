@@ -149,6 +149,19 @@ def test_path3_end_pair_beats_adjacent_pair():
     assert end > adjacent
 
 
+def test_gain_pair_may_cover_the_graph():
+    # finite-gain leaders need no follower: both nodes of one edge lead with
+    # error (1/2) tr((L + I)^-1) = (1/2)(1 + 1/3) = 2/3
+    g = Graph(2, ((0, 1),))
+    k = compute_kernels(g)
+    total = joint_centrality_two_gain(k, 0, 1, 1.0).implied_total_error
+    assert rel_dev(total, 2.0 / 3.0) < 1e-15
+    assert rel_dev(total, joint_centrality(k, (0, 1), mode=Gain(1.0)).implied_total_error) < 1e-15
+    assert rel_dev(total, oracle_error_gain(g, LeaderSet((0, 1), Gain(1.0))).total_error) < 1e-15
+    with pytest.raises(GraphError):
+        joint_centrality_two_gain(k, 0, 2, 1.0)
+
+
 def test_gain_variant_matches_trace_oracle():
     g = cycle(4)
     k = compute_kernels(g)

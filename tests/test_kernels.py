@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,84 @@ def test_spd_inverse_by_blocks_rejects_non_positive_definite():
     indefinite[140, 140] = -1.0
     with pytest.raises(SpectralError, match="numerically singular"):
         spd_inverse(np.stack([_grounded(150, 4), indefinite]), "system matrix")
+
+
+def _cholesky_recorder(monkeypatch):
+    """Wrap np.linalg.cholesky; the returned list collects every matrix it sees."""
+    seen, cholesky = [], np.linalg.cholesky
+
+    def recorded(a):
+        seen.append(np.array(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("d, row, leaves", [
+    # h = 64: A11 stays positive definite and row 64, the first of S, is the only negative pivot
+    (129, 64, [(64, 64), (65, 65)]),
+    # S (rows 150-299) splits again at 75, so row 260 lies in the Schur complement of S
+    (300, 260, [(75, 75)] * 4),
+])
+def test_spd_inverse_tests_each_leaf(monkeypatch, d, row, leaves):
+    a = _grounded(d, d)
+    a[row, row] = -1.0
+    seen = _cholesky_recorder(monkeypatch)
+    with pytest.raises(SpectralError, match="numerically singular"):
+        spd_inverse(a, "grounded Laplacian")
+    assert [m.shape for m in seen] == leaves
+    assert np.array_equal(seen[0], a[:leaves[0][0], :leaves[0][0]])
+
+
+def test_spd_inverse_factors_only_leaves(monkeypatch):
+    seen = _cholesky_recorder(monkeypatch)
+    spd_inverse(_grounded(1000, 9), "grounded Laplacian")
+    assert seen and max(m.shape[-1] for m in seen) <= kernels_module._DIRECT_ROWS
+    for d in (1, 50, 128):
+        seen.clear()
+        a = _grounded(d, d) if d > 1 else np.array([[2.5]])
+        spd_inverse(a, "grounded Laplacian")
+        assert len(seen) == 1 and np.array_equal(seen[0], a)
+
+
+def _kernels_reference(g):
+    """L+, (L^2)+ and K_f the plain way, with a fresh array for each step."""
+    n = g.n
+    padded = np.zeros((n, n))
+    padded[1:, 1:] = spd_inverse(laplacian(g)[1:, 1:], "grounded Laplacian")
+    lplus = padded - padded.mean(axis=1)[:, None] - padded.mean(axis=0)[None, :] + padded.mean()
+    lplus = (lplus + lplus.T) / 2.0
+    l2plus = lplus @ lplus
+    l2plus = (l2plus + l2plus.T) / 2.0
+    return lplus, l2plus, n * float(np.trace(lplus))
+
+
+@pytest.mark.parametrize("n", [2, 7, 129, 300])
+def test_compute_kernels_in_place_is_bit_identical(n):
+    g = seeded_random_graph(np.random.default_rng(n), n, p=min(1.0, 6.0 / n), weighted=True)
+    k = compute_kernels(g)
+    lplus, l2plus, kirchhoff = _kernels_reference(g)
+    assert k.lplus.tobytes() == lplus.tobytes() and k.l2plus.tobytes() == l2plus.tobytes()
+    assert k.kirchhoff.hex() == kirchhoff.hex()
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_and_laplacian_peak_memory():
+    # the result pair is 2 n^2 doubles; the Laplacian is dropped once inverted,
+    # the inverse centred in place, and each symmetrization makes one temporary
+    g = erdos_renyi(600, 8 / 599, seed=0)
+    doubles = 8 * g.n * g.n
+    assert _peak_bytes(lambda: compute_kernels(g)) < 4.6 * doubles
+    assert _peak_bytes(lambda: laplacian(g)) < 1.5 * doubles
 
 
 @pytest.mark.parametrize("mode", [NOISE_FREE, Gain(0.8)], ids=["noise-free", "gain"])

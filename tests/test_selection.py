@@ -356,6 +356,20 @@ def test_full_sweep_memory_per_pair_is_chunked():
     assert peak / len(sweep.pairs) < 40
 
 
+def test_full_sweep_holds_int32_pairs():
+    # int32 ii and jj with rho take 16 bytes a pair, against 24 with intp indices
+    g = leadsel.erdos_renyi(600, 8 / 599, seed=0)
+    kernels = compute_kernels(g)
+    tracemalloc.start()
+    try:
+        sweep = pairwise_sweep(g, kernels=kernels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweep.pairs.ii.dtype == sweep.pairs.jj.dtype == np.int32
+    assert peak / len(sweep.pairs) < 29
+
+
 def test_chunked_sweep_is_the_unchunked_kernel(monkeypatch):
     # n = 300 spans two default chunks; chunks of 7 pairs leave a partial last one
     g = seeded_random_graph(np.random.default_rng(5), 300, p=0.03, weighted=True)
