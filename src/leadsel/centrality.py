@@ -3,10 +3,13 @@ resistance distance and biharmonic distance.
 
 All functions are pure readers of precomputed GraphKernels. The resistance
 matrix r and the biharmonic matrix gamma hold squared-style quadratic forms:
-r itself is a metric, while for gamma the metric is sqrt(gamma).
+r itself is a metric, while for gamma the metric is sqrt(gamma). A
+CentralityReport holds the per-node measures and builds the two n x n
+matrices only when they are first read.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,17 +66,30 @@ def certainty_inverse(kernels: GraphKernels, sigma: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CentralityReport:
+    """Per-node measures of one graph, and its pairwise matrices on first read.
+
+    ``resistance`` and ``biharmonic`` are built from ``kernels`` when first
+    read and then kept, so a report whose matrices nobody reads holds no
+    n x n array of its own.
+    """
+
     info_centrality: np.ndarray
     certainty_inverse: np.ndarray
-    resistance: np.ndarray
-    biharmonic: np.ndarray
+    kernels: GraphKernels = field(repr=False)
+
+    @cached_property
+    def resistance(self) -> np.ndarray:
+        return resistance_matrix(self.kernels)
+
+    @cached_property
+    def biharmonic(self) -> np.ndarray:
+        return biharmonic_matrix(self.kernels)
 
 
 def centrality_report(kernels: GraphKernels, sigma: float = 1.0) -> CentralityReport:
-    """Bundle all per-node and pairwise measures for one graph."""
+    """Per-node measures of one graph; the pairwise matrices wait for a read."""
     return CentralityReport(
         info_centrality=info_centrality(kernels),
         certainty_inverse=certainty_inverse(kernels, sigma),
-        resistance=resistance_matrix(kernels),
-        biharmonic=biharmonic_matrix(kernels),
+        kernels=kernels,
     )

@@ -113,18 +113,21 @@ def _pair_kernel(kernels: GraphKernels, ii, jj, u: float):
     are node ids or equal-length arrays of them.
     """
     # Entries are gathered afresh in each line rather than named, so that
-    # numpy reuses the temporaries of a whole-graph sweep in place; an int32
-    # index would be cast again at every gather, so it is cast once here.
+    # numpy reuses the temporaries of a whole-graph sweep in place. The
+    # indices are cast to intp once (an int32 index would be cast again at
+    # every gather), and the (i, j) entries are read by one flat index with
+    # take, which indexes in logical C order whatever the layout.
     ii, jj = np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp)
+    flat = ii * kernels.n + jj
     lp, l2p = kernels.lplus, kernels.l2plus
     d, d2 = lp.diagonal(), l2p.diagonal()
     # A huge u (a tiny gain) overflows to inf or nan, which the check below raises on.
     with np.errstate(over="ignore", invalid="ignore"):
-        r = d[ii] + d[jj] - 2.0 * lp[ii, jj]
-        gamma = d2[ii] + d2[jj] - 2.0 * l2p[ii, jj]
-        minor = d[ii] * d[jj] - lp[ii, jj] ** 2
+        r = d.take(ii) + d.take(jj) - 2.0 * lp.take(flat)
+        gamma = d2.take(ii) + d2.take(jj) - 2.0 * l2p.take(flat)
+        minor = d.take(ii) * d.take(jj) - lp.take(flat) ** 2
         n_over_rho = kernels.kirchhoff / kernels.n + (
-            kernels.n * (u * (u + d[ii] + d[jj]) + minor) - gamma
+            kernels.n * (u * (u + d.take(ii) + d.take(jj)) + minor) - gamma
         ) / (r + 2.0 * u)
     if not np.all(n_over_rho > 0.0) or not np.all(np.isfinite(n_over_rho)):
         raise NumericalDegeneracyError("nonpositive inverse joint centrality of a leader pair")

@@ -55,17 +55,20 @@ def compute_kernels(g: Graph) -> GraphKernels:
     Cholesky test fails, or when lambda_2 >= 1 / ||L+||_F (||L+||_F^2 =
     tr (L^2)+) is not certified above the zero-mode cutoff
     n * eps * max(lambda_max, 1), with lambda_max <= twice the largest degree
-    (read off the diagonal of L). N is centred in place and L is dropped
-    once inverted, so no n x n array is made only to be thrown away.
+    (read off the diagonal of L). L is dropped once inverted, and only then
+    is the zero-padded N allocated, so it is not alive during the inverse;
+    N is centred in place, so no n x n array is made only to be thrown away.
     """
     n = g.n
     if n == 1:
         return GraphKernels(1, np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
     lap = laplacian(g)
     max_degree = lap.diagonal().max()
-    padded = np.zeros((n, n))
-    padded[1:, 1:] = spd_inverse(lap[1:, 1:], "grounded Laplacian")
+    grounded = spd_inverse(lap[1:, 1:], "grounded Laplacian")
     del lap
+    padded = np.zeros((n, n))
+    padded[1:, 1:] = grounded
+    del grounded
     rows, cols, mean = padded.mean(axis=1), padded.mean(axis=0), padded.mean()
     padded -= rows[:, None]
     padded -= cols[None, :]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from leadsel import (
     complete,
     compute_kernels,
     cycle,
+    erdos_renyi,
     info_centrality,
     laplacian,
     path,
@@ -133,6 +136,27 @@ def test_report_bundles_everything():
     assert rep.resistance.shape == (5, 5)
     assert rep.biharmonic.shape == (5, 5)
     assert np.array_equal(rep.certainty_inverse, certainty_inverse(k, 2.0))
+
+
+def test_report_matrices_are_built_on_first_read():
+    k = compute_kernels(seeded_random_graph(np.random.default_rng(3), 40, p=0.2, weighted=True))
+    rep = centrality_report(k)
+    assert "resistance" not in vars(rep) and "biharmonic" not in vars(rep)
+    assert rep.resistance.tobytes() == resistance_matrix(k).tobytes()
+    assert rep.biharmonic.tobytes() == biharmonic_matrix(k).tobytes()
+    assert rep.resistance is rep.resistance and rep.biharmonic is rep.biharmonic
+
+
+def test_report_peak_memory():
+    # built up front, the two matrices and their temporaries took 3 n^2 doubles
+    k = compute_kernels(erdos_renyi(600, 8 / 599, seed=0))
+    tracemalloc.start()
+    try:
+        centrality_report(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * k.n * k.n
 
 
 def test_networkx_cross_check():

@@ -22,7 +22,9 @@ from leadsel import (
     resistance_matrix,
     single_leader_error,
 )
-from leadsel.joint import _grounded_gram
+from leadsel import selection as selection_module
+from leadsel.joint import _grounded_gram, _pair_kernel
+from leadsel.kernels import GraphKernels
 from leadsel.suites import connected_graph_atlas
 
 from conftest import connected_graphs, exact_gain_error, rel_dev, seeded_random_graph, weight_spread_graph
@@ -142,6 +144,46 @@ def test_two_leader_specialization_agrees():
         specials.append(special)
     # the full sweep and a one-pair list share one pair formula
     assert np.array_equal(pairwise_sweep(g).rho, specials)
+
+
+def _pair_kernel_by_fancy_index(kernels, ii, jj, u):
+    """The pair formula of _pair_kernel, read by 2-d fancy indexing and d[ii]."""
+    ii, jj = np.asarray(ii, dtype=np.intp), np.asarray(jj, dtype=np.intp)
+    lp, l2p = kernels.lplus, kernels.l2plus
+    d, d2 = lp.diagonal(), l2p.diagonal()
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = d[ii] + d[jj] - 2.0 * lp[ii, jj]
+        gamma = d2[ii] + d2[jj] - 2.0 * l2p[ii, jj]
+        minor = d[ii] * d[jj] - lp[ii, jj] ** 2
+        return kernels.kirchhoff / kernels.n + (
+            kernels.n * (u * (u + d[ii] + d[jj]) + minor) - gamma
+        ) / (r + 2.0 * u)
+
+
+@pytest.mark.parametrize("u", [0.0, 1 / 0.7, 1e3])
+@pytest.mark.parametrize("n", [3, 7, 300])
+def test_pair_kernel_flat_gathers_are_bit_identical(n, u):
+    g = seeded_random_graph(np.random.default_rng(n), n, p=min(1.0, 6.0 / n), weighted=True)
+    k = compute_kernels(g)
+    ii, jj = np.triu_indices(n, 1)
+    want = _pair_kernel_by_fancy_index(k, ii, jj, u)
+    assert _pair_kernel(k, ii, jj, u).tobytes() == want.tobytes()
+    if u == 0.0:
+        # the full sweep: int32 pairs, _PAIR_CHUNK at a time (two chunks at n = 300)
+        assert n < 300 or selection_module._PAIR_CHUNK < len(ii) < 2 * selection_module._PAIR_CHUNK
+        assert pairwise_sweep(g, kernels=k).rho.tobytes() == (n / want).tobytes()
+    # a given np.intp pair list, shuffled and with the members swapped
+    order = np.random.default_rng(1).permutation(len(ii))
+    got = _pair_kernel(k, jj[order], ii[order], u)
+    assert got.tobytes() == _pair_kernel_by_fancy_index(k, jj[order], ii[order], u).tobytes()
+    # one scalar pair, as joint_centrality_two_gain passes it
+    s1, s2 = int(ii[-1]), int(jj[-1])
+    assert np.asarray(_pair_kernel(k, s1, s2, u)).tobytes() == \
+        np.asarray(_pair_kernel_by_fancy_index(k, s1, s2, u)).tobytes()
+    # take reads in logical C order, so Fortran-ordered kernels give the same bits
+    fortran = GraphKernels(n, np.asfortranarray(k.lplus), np.asfortranarray(k.l2plus), k.kirchhoff)
+    assert not fortran.lplus.flags.c_contiguous and not fortran.l2plus.flags.c_contiguous
+    assert _pair_kernel(fortran, ii, jj, u).tobytes() == want.tobytes()
 
 
 def test_path3_end_pair_beats_adjacent_pair():

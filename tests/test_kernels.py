@@ -346,11 +346,13 @@ def _peak_bytes(fn):
 
 def test_kernels_and_laplacian_peak_memory():
     # the result pair is 2 n^2 doubles; the Laplacian is dropped once inverted,
-    # the inverse centred in place, and each symmetrization makes one temporary
+    # the padded inverse allocated only then and centred in place, and each
+    # symmetrization makes one temporary
     g = erdos_renyi(600, 8 / 599, seed=0)
     doubles = 8 * g.n * g.n
     assert _peak_bytes(lambda: compute_kernels(g)) < 4.6 * doubles
     assert _peak_bytes(lambda: laplacian(g)) < 1.5 * doubles
+    assert _peak_bytes(lambda: compute_kernels(g)) < 3.6 * doubles
 
 
 @pytest.mark.parametrize("mode", [NOISE_FREE, Gain(0.8)], ids=["noise-free", "gain"])
