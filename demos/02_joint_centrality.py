@@ -32,15 +32,15 @@ print()
 # rho does not depend on which member is the pivot of the grounded expansion
 # (joint_centrality takes the first one, so each rotation of the set puts
 # another member first), and the two-leader closed form of the pair sweep
-# matches the general machinery.
+# matches the dense oracle.
 g = erdos_renyi(10, 0.4, seed=3)
 k = compute_kernels(g)
 members = (1, 4, 7)
 rhos = [joint_centrality(k, (p, *(v for v in members if v != p))).rho for p in members]
 print(f"er(10, 0.4): rho for pivots {members}: {rhos}")
 pair = pairwise_sweep(g, [(2, 9)], kernels=k).rho[0]
-general = joint_centrality(k, (2, 9)).rho
-print(f"two-leader closed form {pair:.10f} vs general {general:.10f}")
+oracle = g.n / (2.0 * oracle_error_noise_free(g, LeaderSet((2, 9))).total_error)
+print(f"two-leader closed form {pair:.10f} vs oracle {oracle:.10f}")
 print()
 
 # Leaders with finite gain k: the gain-dependent rho reproduces the dense

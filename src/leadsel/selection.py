@@ -2,19 +2,18 @@
 
 Three routes to the same question "which m nodes should lead":
 
-* exhaustive_select  - enumerate all m-subsets, objective from joint
-  centrality in either leader mode: single leaders by
-  ``single_leader_error``, pairs a chunk at a time by the one pair kernel
-  of ``joint``, every larger set by ``joint_centrality``;
+* exhaustive_select  - enumerate all m-subsets, each chunk of them scored by
+  one call of ``joint._n_over_rho`` in either leader mode;
 * greedy_select      - grow the set one node at a time by the largest error
   drop, scored for all candidates at once by rank-one updates of one
   inverse (a baseline; provably suboptimal on some cycles);
 * closed forms       - uniform placements on cycles, antipodal pairs on even
-  cycles, and the two-leader rounding formula on paths, each scored by
-  ``joint_centrality``.
+  cycles, and the two-leader rounding formula on paths, their listed sets
+  scored by the same call as exhaustive's, so both report the same bits.
 
-None of them calls the dense trace oracles of ``kernels``: those stay the
-independent check on the closed forms.
+Every set's error comes from ``joint._n_over_rho``, the one place that picks
+the closed form by set size. None of them calls the dense trace oracles of
+``kernels``: those stay the independent check on the closed forms.
 
 Ties within a relative tolerance are enumerated, not broken: symmetric
 graphs have orbit-sized optimal families and hiding them would make the
@@ -30,9 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graphs
-from .centrality import inverse_info_centrality
-from .graphs import BudgetError, Gain, Graph, GraphError, LeaderSet, NOISE_FREE, NoiseFree
-from .joint import _grounded_gram, _pair_kernel, joint_centrality, single_leader_error
+from .graphs import BudgetError, Gain, Graph, GraphError, NOISE_FREE
+from .joint import _grounded_gram, _n_over_rho
 from .kernels import compute_kernels
 
 TIE_TOL = 1e-9
@@ -62,20 +60,6 @@ class SelectionResult:
     notes: tuple = field(default=())
 
 
-def _chunk_errors(mode, m, sigma, kernels):
-    """Chunk-of-sets -> total errors callable for the exhaustive objective."""
-    if not isinstance(mode, (NoiseFree, Gain)):
-        raise GraphError(f"mode must be NoiseFree or Gain, got {mode!r}")
-    if m == 1:
-        return lambda chunk: [single_leader_error(kernels, s[0], mode, sigma) for s in chunk]
-    if m == 2:
-        u = 1.0 / mode.k if isinstance(mode, Gain) else 0.0
-        return lambda chunk: 0.5 * sigma * sigma * _pair_kernel(kernels, *np.array(chunk).T, u)
-    return lambda chunk: [
-        joint_centrality(kernels, s, sigma=sigma, mode=mode).implied_total_error for s in chunk
-    ]
-
-
 def _chunked(iterable, size):
     it = iter(iterable)
     while True:
@@ -85,36 +69,16 @@ def _chunked(iterable, size):
         yield chunk
 
 
-def _search(g, m, chunk_errors, method, *, budget, sigma):
-    """Every m-subset within TIE_TOL of the least error, scored chunk by chunk.
+def _errors(kernels, sets, mode, sigma):
+    """Total errors of a list of m-sets by one ``_n_over_rho`` call (inf if sigma overflows them)."""
+    n_over_rho = _n_over_rho(kernels, np.array(sets).T, mode)[0]
+    with np.errstate(over="ignore"):
+        return 0.5 * sigma * sigma * n_over_rho
 
-    Only sets within TIE_TOL of the running minimum are kept; the minimum
-    only falls, so a set dropped on the way can never be a final tie.
-    """
-    if not 1 <= m < g.n:
-        raise GraphError(f"need 1 <= m < n, got m={m}, n={g.n}")
-    count = math.comb(g.n, m)
-    if count > budget:
-        raise BudgetError(
-            f"C({g.n}, {m}) = {count} subsets exceeds the budget of {budget}; "
-            "consider greedy_select"
-        )
-    best = math.inf
-    near = []
-    for chunk in _chunked(itertools.combinations(range(g.n), m), _CHUNK):
-        errors = np.asarray(chunk_errors(chunk), dtype=float)
-        best = min(best, float(errors.min()))
-        cut = best * (1.0 + TIE_TOL)
-        near = [(s, e) for s, e in near if e <= cut]
-        near += [(chunk[i], errors[i]) for i in np.flatnonzero(errors <= cut)]
-    rho = g.n * sigma * sigma / (2.0 * best)
-    return SelectionResult(
-        optimal_sets=tuple(sorted(s for s, _ in near)),
-        objective=Objective(rho=rho, total_error=best),
-        method=method,
-        evaluated_count=count,
-        m=m,
-    )
+
+def _objective(n, best, sigma):
+    """The Objective of a least total error: rho = n sigma^2 / (2 error)."""
+    return Objective(rho=n * sigma * sigma / (2.0 * best), total_error=best)
 
 
 def exhaustive_select(
@@ -126,11 +90,37 @@ def exhaustive_select(
     budget: int = DEFAULT_BUDGET,
     kernels=None,
 ) -> SelectionResult:
-    """All argmin-error (equivalently argmax-rho) m-subsets by enumeration."""
+    """All argmin-error (equivalently argmax-rho) m-subsets by enumeration.
+
+    The subsets are scored _CHUNK at a time. Only sets within TIE_TOL of the
+    running minimum are kept; the minimum only falls, so a set dropped on
+    the way can never be a final tie.
+    """
     if kernels is None:
         kernels = compute_kernels(g)
-    chunk_errors = _chunk_errors(mode, m, sigma, kernels)
-    return _search(g, m, chunk_errors, "exhaustive", budget=budget, sigma=sigma)
+    if not 1 <= m < g.n:
+        raise GraphError(f"need 1 <= m < n, got m={m}, n={g.n}")
+    count = math.comb(g.n, m)
+    if count > budget:
+        raise BudgetError(
+            f"C({g.n}, {m}) = {count} subsets exceeds the budget of {budget}; "
+            "consider greedy_select"
+        )
+    best = math.inf
+    near = []
+    for chunk in _chunked(itertools.combinations(range(g.n), m), _CHUNK):
+        errors = _errors(kernels, chunk, mode, sigma)
+        best = min(best, float(errors.min()))
+        cut = best * (1.0 + TIE_TOL)
+        near = [(s, e) for s, e in near if e <= cut]
+        near += [(chunk[i], errors[i]) for i in np.flatnonzero(errors <= cut)]
+    return SelectionResult(
+        optimal_sets=tuple(sorted(s for s, _ in near)),
+        objective=_objective(g.n, best, sigma),
+        method="exhaustive",
+        evaluated_count=count,
+        m=m,
+    )
 
 
 def _first_near_min(values) -> int:
@@ -142,7 +132,8 @@ def greedy_select(g: Graph, m: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> S
     """Grow the leader set one node at a time, taking the largest error drop.
 
     The first pick p is the most central node: the single-leader trace is
-    n / c_v (plus n/k with gain k), read from the kernels. The inverse B of
+    n (u + 1 / c_v) with u = 1/k (u = 0 noise-free), scored for every node by
+    one call of ``joint._n_over_rho``, as exhaustive scores it. The inverse B of
     its system matrix is read from L+ as well, by way of the pivot-grounded
     Gram matrix N_p = L+ - L+[:, p] - L+[p, :] + L+[p, p]
     (``joint._grounded_gram``): noise-free, N_p without row and column p;
@@ -157,12 +148,9 @@ def greedy_select(g: Graph, m: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> S
     if not 1 <= m < g.n:
         raise GraphError(f"need 1 <= m < n, got m={m}, n={g.n}")
     n = g.n
-    LeaderSet((0,), mode)  # raises GraphError on a mode that is neither NoiseFree nor Gain
-    k = mode.k if isinstance(mode, Gain) else None
     kernels = compute_kernels(g)
-    traces = n * inverse_info_centrality(kernels)
-    if k is not None:
-        traces += n / k
+    traces = _n_over_rho(kernels, (np.arange(n),), mode)[0]
+    k = mode.k if isinstance(mode, Gain) else None
     best = _first_near_min(traces)
     leaders = [best]
     nodes = np.delete(np.arange(n), best) if k is None else np.arange(n)
@@ -201,11 +189,11 @@ def greedy_select(g: Graph, m: int, mode=NOISE_FREE, *, sigma: float = 1.0) -> S
 
 
 def _closed_form(g, optimal_sets, mode, sigma, method, notes):
-    """SelectionResult of a closed-form family, scored on its first set."""
-    res = joint_centrality(compute_kernels(g), optimal_sets[0], sigma=sigma, mode=mode)
+    """SelectionResult of a closed-form family, every set scored as exhaustive scores it."""
+    best = float(_errors(compute_kernels(g), optimal_sets, mode, sigma).min())
     return SelectionResult(
         optimal_sets=optimal_sets,
-        objective=Objective(rho=res.rho, total_error=res.implied_total_error),
+        objective=_objective(g.n, best, sigma),
         method=method,
         evaluated_count=1,
         m=len(optimal_sets[0]),
@@ -345,7 +333,7 @@ def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernel
     np.triu_indices, built as int32; a given list is scored in its order,
     each pair sorted.
     ``pairs`` on the result is a NodePairs over the two index arrays.
-    Scored by the pair kernel of ``joint`` _PAIR_CHUNK pairs at a time into
+    Scored by ``joint._n_over_rho`` _PAIR_CHUNK pairs at a time into
     one preallocated rho, so the kernel's temporaries do not grow with the
     sweep; errors out when the number of pairs exceeds the evaluation
     budget. A noise-free pair needs a follower, so the graph needs n >= 3.
@@ -372,5 +360,5 @@ def pairwise_sweep(g: Graph, pairs=None, *, budget: int = DEFAULT_BUDGET, kernel
     rho = np.empty(len(ii))
     for start in range(0, len(ii), _PAIR_CHUNK):
         part = slice(start, start + _PAIR_CHUNK)
-        rho[part] = n / _pair_kernel(kernels, ii[part], jj[part], 0.0)
+        rho[part] = n / _n_over_rho(kernels, (ii[part], jj[part]), NOISE_FREE)[0]
     return PairSweep(pairs=NodePairs(ii, jj), rho=rho)

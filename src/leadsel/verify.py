@@ -8,9 +8,10 @@ routes, so agreement is strong evidence of correctness. sigma^2 scales both
 routes alike, so the checks run at sigma = 1.
 
 The sets are checked a batch at a time: all noise-free sets of one size, or
-all pairs at one gain. The closed forms of a batch come first, per set from
-``joint_centrality`` or for all pairs at once from the pair formula, and then
-one ``oracle_errors`` call scores the whole batch.
+all pairs at one gain. The closed forms of a batch come first, all from one
+call of ``joint._n_over_rho`` (the route every other caller takes, so the
+checked bits are the ones ``select``, ``pairs`` and ``joint_centrality``
+report), and then one ``oracle_errors`` call scores the whole batch.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Gain, Graph, NOISE_FREE
-from .joint import _pair_kernel, joint_centrality
+from .joint import _n_over_rho
 from .kernels import compute_kernels, oracle_errors
 from .suites import connected_graph_atlas, random_connected_graphs
 
@@ -49,7 +50,7 @@ class VerifyReport:
 
 
 def _rel_devs(implied, oracle):
-    return (np.abs(np.asarray(implied) - oracle) / oracle).tolist()
+    return (np.abs(implied - oracle) / oracle).tolist()
 
 
 def verify_graph(
@@ -72,7 +73,7 @@ def verify_graph(
     violations = []
     for m in range(1, min(m_max, g.n - 1) + 1):
         sets = list(itertools.combinations(range(g.n), m))
-        implied = [joint_centrality(kernels, members).implied_total_error for members in sets]
+        implied = 0.5 * _n_over_rho(kernels, np.array(sets).T, NOISE_FREE)[0]
         for members, dev in zip(sets, _rel_devs(implied, oracle_errors(g, sets, NOISE_FREE))):
             worst_nf = max(worst_nf, dev)
             if dev > tol:
@@ -84,7 +85,7 @@ def verify_graph(
         devs_by_k = []
         for k in k_values:
             mode = Gain(k)
-            implied = 0.5 * _pair_kernel(kernels, ii, jj, 1.0 / mode.k)
+            implied = 0.5 * _n_over_rho(kernels, (ii, jj), mode)[0]
             devs_by_k.append(_rel_devs(implied, oracle_errors(g, pairs, mode)))
         for p, pair in enumerate(map(tuple, pairs.tolist())):
             for k, devs in zip(k_values, devs_by_k):

@@ -78,26 +78,42 @@ def weight_spread_graph(spread, n=14, p=0.4, rng=None):
     return Graph(n, tuple((u, v, float(w)) for (u, v, _), w in zip(base.edges, weights)))
 
 
-def exact_gain_error(g, members, k):
-    """(1/2) tr((L + K)^-1) in exact rationals: L from the edge weights as
-    fractions, inverted by Gauss-Jordan."""
-    n = g.n
-    a = [[Fraction(0)] * n + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def heavy_edge_cycle(edge, weight):
+    """The 5-cycle with one edge of the given weight and the others of weight 1."""
+    return Graph(5, tuple((u, v, weight if (u, v) == edge else 1.0)
+                          for u, v in ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))))
+
+
+def exact_error(g, members, mode=NOISE_FREE):
+    """(1/2) tr(M^-1) of a leader set in exact rationals, in either leader mode.
+
+    M is the grounded Laplacian (L without the leaders' rows and columns)
+    for noise-free leaders and L + K for leaders of gain k, built from the
+    edge weights as fractions and inverted by Gauss-Jordan. This is the one
+    exact reference of the tests; the result is rounded once, to a float.
+    """
+    lap = [[Fraction(0)] * g.n for _ in range(g.n)]
     for u, v, w in g.edges:
         w = Fraction(w)
-        a[u][v] -= w
-        a[v][u] -= w
-        a[u][u] += w
-        a[v][v] += w
-    for s in members:
-        a[s][s] += Fraction(k)
-    for c in range(n):  # L + K is positive definite, so every pivot is nonzero
+        lap[u][v] -= w
+        lap[v][u] -= w
+        lap[u][u] += w
+        lap[v][v] += w
+    if isinstance(mode, Gain):
+        rows = range(g.n)
+        for s in members:
+            lap[s][s] += Fraction(mode.k)
+    else:
+        rows = [v for v in range(g.n) if v not in members]
+    d = len(rows)
+    a = [[lap[i][j] for j in rows] + [Fraction(int(r == c)) for c in range(d)] for r, i in enumerate(rows)]
+    for c in range(d):  # M is positive definite, so every pivot is nonzero
         a[c] = [x / a[c][c] for x in a[c]]
-        for r in range(n):
+        for r in range(d):
             if r != c and a[r][c]:
                 f = a[r][c]
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return float(sum(a[i][n + i] for i in range(n)) / 2)
+    return float(sum(a[i][d + i] for i in range(d)) / 2)
 
 
 def tridiagonal_chain_trace(w):

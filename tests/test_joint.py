@@ -10,8 +10,11 @@ from leadsel import (
     Graph,
     GraphError,
     LeaderSet,
+    NOISE_FREE,
     compute_kernels,
     cycle,
+    exhaustive_select,
+    greedy_select,
     info_centrality,
     joint_centrality,
     joint_centrality_two_gain,
@@ -23,11 +26,18 @@ from leadsel import (
     single_leader_error,
 )
 from leadsel import selection as selection_module
-from leadsel.joint import _grounded_gram, _pair_kernel
+from leadsel.joint import _expansion, _grounded_gram, _n_over_rho, _pair_kernel
 from leadsel.kernels import GraphKernels
 from leadsel.suites import connected_graph_atlas
 
-from conftest import connected_graphs, exact_gain_error, rel_dev, seeded_random_graph, weight_spread_graph
+from conftest import (
+    connected_graphs,
+    exact_error,
+    heavy_edge_cycle,
+    rel_dev,
+    seeded_random_graph,
+    weight_spread_graph,
+)
 
 
 def _rotated(members, pivot):
@@ -73,7 +83,8 @@ def test_single_member_reduces_to_info_centrality():
     for s in range(g.n):
         res = joint_centrality(k, (s,))
         assert rel_dev(res.rho, c[s]) < 1e-12
-        assert rel_dev(res.implied_total_error, single_leader_error(k, s)) < 1e-12
+        oracle = oracle_error_noise_free(g, LeaderSet((s,))).total_error
+        assert rel_dev(res.implied_total_error, oracle) < 1e-12
 
 
 def test_single_leader_error_one_node_gain():
@@ -137,9 +148,10 @@ def test_two_leader_specialization_agrees():
     k = compute_kernels(g)
     specials = []
     for s1, s2 in itertools.combinations(range(g.n), 2):
-        general = joint_centrality(k, (s1, s2)).rho
+        # the paper's compact form, a route independent of the pair formula
+        compact = g.n / _compact_form_n_over_rho(k, (s1, s2))
         special = pairwise_sweep(g, [(s1, s2)], kernels=k).rho[0]
-        assert rel_dev(special, general) < 1e-9
+        assert rel_dev(special, compact) < 1e-9
         assert rel_dev(pairwise_sweep(g, [(s2, s1)], kernels=k).rho[0], special) < 1e-12
         specials.append(special)
     # the full sweep and a one-pair list share one pair formula
@@ -167,23 +179,23 @@ def test_pair_kernel_flat_gathers_are_bit_identical(n, u):
     k = compute_kernels(g)
     ii, jj = np.triu_indices(n, 1)
     want = _pair_kernel_by_fancy_index(k, ii, jj, u)
-    assert _pair_kernel(k, ii, jj, u).tobytes() == want.tobytes()
+    got, fused = _pair_kernel(k, ii, jj, u)
+    assert got.tobytes() == want.tobytes() and not fused.any()
     if u == 0.0:
         # the full sweep: int32 pairs, _PAIR_CHUNK at a time (two chunks at n = 300)
         assert n < 300 or selection_module._PAIR_CHUNK < len(ii) < 2 * selection_module._PAIR_CHUNK
         assert pairwise_sweep(g, kernels=k).rho.tobytes() == (n / want).tobytes()
     # a given np.intp pair list, shuffled and with the members swapped
     order = np.random.default_rng(1).permutation(len(ii))
-    got = _pair_kernel(k, jj[order], ii[order], u)
+    got = _pair_kernel(k, jj[order], ii[order], u)[0]
     assert got.tobytes() == _pair_kernel_by_fancy_index(k, jj[order], ii[order], u).tobytes()
-    # one scalar pair, as joint_centrality_two_gain passes it
-    s1, s2 = int(ii[-1]), int(jj[-1])
-    assert np.asarray(_pair_kernel(k, s1, s2, u)).tobytes() == \
-        np.asarray(_pair_kernel_by_fancy_index(k, s1, s2, u)).tobytes()
+    # a stack of one pair, as joint_centrality passes it
+    assert _pair_kernel(k, ii[-1:], jj[-1:], u)[0].tobytes() == \
+        _pair_kernel_by_fancy_index(k, ii[-1:], jj[-1:], u).tobytes()
     # take reads in logical C order, so Fortran-ordered kernels give the same bits
     fortran = GraphKernels(n, np.asfortranarray(k.lplus), np.asfortranarray(k.l2plus), k.kirchhoff)
     assert not fortran.lplus.flags.c_contiguous and not fortran.l2plus.flags.c_contiguous
-    assert _pair_kernel(fortran, ii, jj, u).tobytes() == want.tobytes()
+    assert _pair_kernel(fortran, ii, jj, u)[0].tobytes() == want.tobytes()
 
 
 def test_path3_end_pair_beats_adjacent_pair():
@@ -286,7 +298,7 @@ def test_gain_joint_centrality_matches_exact_rationals_under_weight_spread():
         members = tuple(rng.choice(g.n, 3, replace=False).tolist())
         for gain in (0.3, 3.0):
             closed = joint_centrality(kernels, members, mode=Gain(gain)).implied_total_error
-            exact = exact_gain_error(g, members, gain)
+            exact = exact_error(g, members, Gain(gain))
             assert rel_dev(closed, exact) < 1e-12, (members, gain, closed, exact)
 
 
@@ -301,15 +313,19 @@ def test_gain_joint_centrality_matches_oracle_with_every_pivot():
             for pivot in members:
                 res = joint_centrality(k, _rotated(members, pivot), mode=Gain(gain))
                 assert rel_dev(res.implied_total_error, oracle) < 1e-12, (members, pivot, gain)
-    # one and two leaders: the single-leader and pair formulas
+    # one and two leaders: the single-leader and pair formulas, and the
+    # expansion at |R| = 1 as a second route for the pair
     for gain in (0.3, 3.0):
         for s in (0, 5):
             res = joint_centrality(k, (s,), mode=Gain(gain))
-            assert rel_dev(res.implied_total_error, single_leader_error(k, s, Gain(gain))) < 1e-12
+            oracle = oracle_error_gain(g, LeaderSet((s,), Gain(gain))).total_error
+            assert rel_dev(res.implied_total_error, oracle) < 1e-12
         for s1, s2 in ((0, 5), (8, 3)):
             res = joint_centrality(k, (s1, s2), mode=Gain(gain))
-            pair = joint_centrality_two_gain(k, s1, s2, gain)
-            assert rel_dev(res.implied_total_error, pair.implied_total_error) < 1e-12
+            oracle = oracle_error_gain(g, LeaderSet((s1, s2), Gain(gain))).total_error
+            assert rel_dev(res.implied_total_error, oracle) < 1e-12
+            expansion = 0.5 * _expansion(k, (s1, s2), 1.0 / gain)[0]
+            assert rel_dev(res.implied_total_error, expansion) < 1e-12
 
 
 def test_gain_set_may_cover_every_node():
@@ -363,6 +379,47 @@ def test_conditioning_warning_on_nearly_fused_leaders():
     assert any("natural scale" in w for w in res.warnings)
     ok = joint_centrality(compute_kernels(cycle(5)), (0, 2))
     assert ok.warnings == ()
+
+
+@pytest.mark.parametrize("edge, weight", [
+    pytest.param(edge, weight, id=f"{edge[0]}-{edge[1]}-{weight:.0e}")
+    for edge, weights in (((0, 1), (1e10, 1e12, 1e13, 1e14)), ((2, 3), (1e10, 1e12, 1e13, 1e14)),
+                          # at 1e12 on this edge the kernels themselves are 5e-5 off for single leaders
+                          ((1, 2), (1e13, 1e14)))
+    for weight in weights
+])
+def test_fused_pairs_match_exact_rationals(edge, weight):
+    # the pair formula cancels on the two leaders of the heavy edge; the
+    # grounded expansion rescores that pair, so every route stays exact
+    g = heavy_edge_cycle(edge, weight)
+    k = compute_kernels(g)
+    exact = {pair: exact_error(g, pair) for pair in itertools.combinations(range(5), 2)}
+    sweep = pairwise_sweep(g, kernels=k)
+    for pair, rho in zip(sweep.pairs, sweep.rho.tolist()):
+        assert rel_dev(rho, 5 / (2 * exact[pair])) < 1e-10, (pair, rho)
+        assert rel_dev(joint_centrality(k, pair).implied_total_error, exact[pair]) < 1e-10, pair
+    assert rel_dev(exhaustive_select(g, 2, kernels=k).objective.total_error, min(exact.values())) < 1e-10
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_every_route_to_a_set_gives_the_same_bits(weighted):
+    # one size dispatch in joint: a set's error has the same bits whichever
+    # public function asks for it
+    g = seeded_random_graph(np.random.default_rng(83), 20, p=0.3, weighted=weighted)
+    k = compute_kernels(g)
+    for mode in (NOISE_FREE, Gain(0.7)):
+        for m in (1, 2, 3, 4):
+            sets = list(itertools.islice(itertools.combinations(range(20), m), 0, None, 7 ** (m - 1)))
+            stacked = _n_over_rho(k, np.array(sets).T, mode)[0].tolist()
+            for members, n_over_rho in zip(sets, stacked):
+                res = joint_centrality(k, members, mode=mode)
+                assert (res.rho, res.implied_total_error) == (20 / n_over_rho, 0.5 * n_over_rho), members
+                if m == 1:
+                    assert single_leader_error(k, members[0], mode) == res.implied_total_error
+                if m == 2 and mode != NOISE_FREE:
+                    assert joint_centrality_two_gain(k, *members, mode.k) == res
+        greedy, exhaustive = greedy_select(g, 1, mode), exhaustive_select(g, 1, mode, kernels=k)
+        assert (greedy.optimal_sets, greedy.objective) == (exhaustive.optimal_sets, exhaustive.objective)
 
 
 def test_invalid_inputs_rejected():

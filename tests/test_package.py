@@ -62,6 +62,26 @@ def test_benchmark_names_resolve_on_the_package():
     assert [name for name in sorted(names) if not hasattr(leadsel, name)] == []
 
 
+# name -> the only modules that may use it: the size dispatch of joint._n_over_rho stays in one place
+DISPATCH_OWNERS = {
+    "_pair_kernel": {"joint"},
+    "single_leader_error": {"joint"},
+    "inverse_info_centrality": {"joint", "centrality"},
+}
+
+
+def test_closed_forms_are_picked_by_set_size_in_one_place():
+    # a module outside joint that scored sets by size itself would fork the dispatch again
+    used = []
+    for path in sorted(Path(leadsel.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in DISPATCH_OWNERS and path.stem not in DISPATCH_OWNERS[name]:
+                used.append((path.stem, name))
+    assert used == []
+
+
 def test_errors_resolve_from_their_old_modules():
     assert leadsel.selection.BudgetError is leadsel.BudgetError
     assert importlib.import_module("leadsel.simulate").StabilityError is leadsel.StabilityError

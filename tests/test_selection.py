@@ -34,7 +34,7 @@ from leadsel import selection as selection_module
 from leadsel.joint import _pair_kernel
 from leadsel.kernels import oracle_errors
 from conftest import (
-    exact_gain_error,
+    exact_error,
     oracle_select,
     rel_dev,
     seeded_random_graph,
@@ -191,7 +191,7 @@ def test_gain_greedy_matches_exact_rationals_under_weight_spread():
     for k in (0.3, 3.0):
         for m in (2, 3, 5):
             res = greedy_select(g, m, Gain(k))
-            exact = exact_gain_error(g, res.optimal_sets[0], k)
+            exact = exact_error(g, res.optimal_sets[0], Gain(k))
             assert rel_dev(res.objective.total_error, exact) < 1e-8, (k, m)
 
 
@@ -230,12 +230,21 @@ def test_closed_form_path_formula_coordinates():
     assert res.notes
 
 
-@pytest.mark.parametrize("n", list(range(5, 21)))
+@pytest.mark.parametrize("n", list(range(3, 80)))
 def test_closed_form_path_matches_exhaustive(n):
+    # the closed form scores its sets as exhaustive does, so the objectives agree bit for bit
     closed = closed_form_path_two(n)
     exact = exhaustive_select(path(n), 2)
     assert closed.optimal_sets == exact.optimal_sets
-    assert rel_dev(closed.objective.total_error, exact.objective.total_error) < 1e-9
+    assert closed.objective == exact.objective
+
+
+@pytest.mark.parametrize("mode", [NOISE_FREE, Gain(2.0)], ids=["noise-free", "gain"])
+def test_closed_form_cycle_two_matches_exhaustive_bits(mode):
+    for n in range(4, 79, 2):
+        closed = closed_form_cycle_two(n, mode)
+        exact = exhaustive_select(cycle(n), 2, mode)
+        assert (closed.optimal_sets, closed.objective) == (exact.optimal_sets, exact.objective), n
 
 
 def test_pairwise_sweep_cycle4():
@@ -290,7 +299,7 @@ def test_full_sweep_pairs_are_the_combinations(n):
         assert type(pair) is tuple and len(pair) == 2
         assert all(type(v) is int for v in pair)
     ii, jj = (np.array(c) for c in zip(*expect))
-    assert np.array_equal(sweep.rho, n / _pair_kernel(kernels, ii, jj, 0.0))
+    assert np.array_equal(sweep.rho, n / _pair_kernel(kernels, ii, jj, 0.0)[0])
     assert np.array_equal(sweep.pairs.ii, ii) and np.array_equal(sweep.pairs.jj, jj)
 
 
@@ -376,12 +385,12 @@ def test_chunked_sweep_is_the_unchunked_kernel(monkeypatch):
     kernels = compute_kernels(g)
     ii, jj = np.triu_indices(300, 1)
     assert selection_module._PAIR_CHUNK < len(ii) < 2 * selection_module._PAIR_CHUNK
-    assert np.array_equal(pairwise_sweep(g, kernels=kernels).rho, 300 / _pair_kernel(kernels, ii, jj, 0.0))
+    assert np.array_equal(pairwise_sweep(g, kernels=kernels).rho, 300 / _pair_kernel(kernels, ii, jj, 0.0)[0])
     monkeypatch.setattr(selection_module, "_PAIR_CHUNK", 7)
     ii, jj = ii[::997], jj[::997]
     sweep = pairwise_sweep(g, pairs=list(zip(jj.tolist(), ii.tolist())), kernels=kernels)
     assert len(ii) % 7 and list(sweep.pairs) == list(zip(ii.tolist(), jj.tolist()))
-    assert np.array_equal(sweep.rho, 300 / _pair_kernel(kernels, ii, jj, 0.0))
+    assert np.array_equal(sweep.rho, 300 / _pair_kernel(kernels, ii, jj, 0.0)[0])
 
 
 def test_tridiagonal_chain_trace_against_dense_inverse():

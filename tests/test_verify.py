@@ -2,19 +2,14 @@ import tracemalloc
 
 import pytest
 
-from leadsel import Graph, NumericalDegeneracyError, cycle, erdos_renyi, verify_graph, verify_random_suite
+from leadsel import NumericalDegeneracyError, cycle, erdos_renyi, verify_graph, verify_random_suite
 from leadsel.graphs import GraphError
 from leadsel.suites import connected_graph_atlas, random_connected_graphs
 from leadsel.verify import _merge
 
-from conftest import verify_graph_reference
+from conftest import heavy_edge_cycle, verify_graph_reference
 
 HEAVY = 1e10
-
-
-def _heavy_edge_cycle(edge):
-    return Graph(5, tuple((u, v, HEAVY if (u, v) == edge else 1.0)
-                          for u, v in ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))))
 
 
 def _same(report, reference):
@@ -38,7 +33,7 @@ def test_verify_matches_per_set_reference_on_random_suite():
 @pytest.mark.parametrize("edge, count", [((2, 3), 28), ((1, 2), 18), ((0, 1), 7)])
 def test_verify_matches_per_set_reference_on_heavy_edge_cycles(edge, count):
     # the dense oracle's own error on a 1e10 edge, reported in the same order
-    g = _heavy_edge_cycle(edge)
+    g = heavy_edge_cycle(edge, HEAVY)
     report = verify_graph(g, label="heavy")
     assert len(report.violations) == count
     _same(report, verify_graph_reference(g, label="heavy"))
